@@ -171,15 +171,6 @@ class Chart:
     def has_name(self, name: str) -> bool:
         return name in self._index
 
-    def function(self, name: str) -> OpaqueFunction:
-        key = self.key_of(name)
-        if key[0] != KIND_DERIV:
-            raise UnknownName(f"{name!r} is not an opaque function")
-        return self.functions[key[1]]
-
-    def function_at(self, idx: int) -> OpaqueFunction:
-        return self.functions[idx]
-
     def deriv_key(self, fname: str, arg_names):
         """Key of a derivative symbol, e.g. deriv_key('f', ('p', 'p'))."""
         key = self.key_of(fname)

@@ -9,14 +9,15 @@ third order prolongation swell demo.
 Charts are fixed per subcommand, so expression flags parse against a
 known variable list.  Output formats: text (default), json (stable key
 order, byte identical for identical inputs), latex.  Exit codes: 0 when
-the computation ran (verdicts live in the payload), 2 on parse errors,
-3 on domain errors.
+the computation ran (verdicts live in the payload), 1 when stdout closed
+before the output was written, 2 on parse errors, 3 on domain errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import CartanError, NotEquivalent, NotInClass, ParseError
@@ -78,7 +79,7 @@ def _cmd_check_flat(parser, args, fmt):
 
 def _cmd_invariants(parser, args, fmt):
     f = None if args.f is None else parse_expression(args.f, ode2_chart())
-    rep = run_equivalence_ode2(f, max_prolong=args.max_prolong)
+    rep = run_equivalence_ode2(f)
     render = _renderer(fmt)
     payload = {
         "problem": "ode2",
@@ -122,7 +123,7 @@ def _structure_latex(rep):
 
 def _cmd_structure(parser, args, fmt):
     f = None if args.f is None else parse_expression(args.f, ode2_chart())
-    rep = run_equivalence_ode2(f, max_prolong=args.max_prolong)
+    rep = run_equivalence_ode2(f)
     payload = {
         "problem": "ode2",
         "structure": rep.structure_lines(render_text),
@@ -148,8 +149,6 @@ def _cmd_syzygies(parser, args, fmt):
 
 def _cmd_painleve(parser, args, fmt):
     f = _parse_flag(parser, args.f, ode2_chart(), "--f")
-    if args.max_prolong is not None:
-        run_equivalence_ode2(None, max_prolong=args.max_prolong)
     render = _renderer(fmt)
     try:
         eta, C = painleve_map(f)
@@ -231,31 +230,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "invariants", help="fundamental invariants I1, I2, I3 of y'' = f"
     )
     p.add_argument("--f", help="right-hand side; omit for the symbolic class")
-    p.add_argument(
-        "--max-prolong", type=int, default=None,
-        help="bound on prolongation steps (this class needs none)",
-    )
     common(p, _cmd_invariants)
 
     p = sub.add_parser(
         "structure", help="structure equations of the invariant coframe"
     )
     p.add_argument("--f", help="right-hand side; omit for the symbolic class")
-    p.add_argument("--max-prolong", type=int, default=None)
     common(p, _cmd_structure)
 
     p = sub.add_parser(
         "syzygies", help="relations among the invariant derivatives"
     )
     p.add_argument("--f", help="right-hand side; omit for the symbolic class")
-    p.add_argument("--max-prolong", type=int, default=None)
     common(p, _cmd_syzygies)
 
     p = sub.add_parser(
         "painleve", help="map y'' = f to y'' = 6y^2 + x when possible"
     )
     p.add_argument("--f", help="right-hand side of y'' = f(x, y, p)")
-    p.add_argument("--max-prolong", type=int, default=None)
     common(p, _cmd_painleve)
 
     p = sub.add_parser(
@@ -286,10 +278,15 @@ def main(argv=None) -> int:
     except CartanError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print("\n".join(lines))
+    text = json.dumps(payload) if args.format == "json" else "\n".join(lines)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; park stdout on devnull so that the
+        # interpreter's final flush does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -26,7 +26,11 @@ class DomainError(CartanError):
 
 
 class DegreeOverflow(CartanError):
-    """A wedge product would exceed the chart dimension."""
+    """An exponent in the input text exceeds ``parser.MAX_EXPONENT``.
+
+    Only the parser raises it; the degrees that products and nested powers
+    reach are not bounded.
+    """
 
 
 class SingularCoframe(CartanError):

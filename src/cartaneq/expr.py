@@ -250,20 +250,23 @@ class Expression:
     # ------------------------------------------------------------------
     # substitution and evaluation
 
-    def _map_poly(self, p: Polynomial, lookup) -> "Expression":
-        """Image of p under a variable-to-expression assignment."""
-        chart = lookup.chart
-        total = Expression.const(chart, 0)
-        cache = {}
-        for m, c in p.terms:
-            term = Expression.const(chart, c)
-            for k, e in m:
-                base = cache.get(k)
-                if base is None:
-                    base = cache[k] = lookup(k)
-                term = term * base ** e
-            total = total + term
-        return total
+    def map_vars(self, mapping, chart: Chart) -> "Expression":
+        """Image under an assignment {key: Expression on ``chart``}.
+
+        ``mapping`` must give an image for every variable present.  Each
+        term is mapped on its own and the images are summed over ``chart``.
+        """
+
+        def image(p: Polynomial) -> Expression:
+            total = Expression.const(chart, 0)
+            for m, c in p.terms:
+                term = Expression.const(chart, c)
+                for k, e in m:
+                    term = term * mapping[k] ** e
+                total = total + term
+            return total
+
+        return image(self.num) / image(self.den)
 
     def substitute(self, fname: str, value: "Expression") -> "Expression":
         """Replace an opaque function symbol by a concrete expression.
@@ -307,15 +310,12 @@ class Expression:
                 got = deriv_cache[index] = prev.partial(ckey)
             return got
 
-        def lookup(k):
-            if k[0] == KIND_DERIV and k[1] == fidx:
-                return deriv_along(k[3])
-            return Expression.from_key(self.chart, k)
-
-        lookup.chart = self.chart
-        num = self._map_poly(self.num, lookup)
-        den = self._map_poly(self.den, lookup)
-        return num / den
+        mapping = {
+            k: deriv_along(k[3]) if k[0] == KIND_DERIV and k[1] == fidx
+            else Expression.from_key(self.chart, k)
+            for k in self.variables()
+        }
+        return self.map_vars(mapping, self.chart)
 
     def subs_coords(self, mapping, target: Chart | None = None) -> "Expression":
         """Composition with a coordinate map name -> Expression.
@@ -344,20 +344,16 @@ class Expression:
                             f"cannot substitute under the opaque symbol {fn.name!r}"
                         )
 
-        def lookup(k):
+        def image(k):
             got = keymap.get(k)
             if got is not None:
                 return got
-            name = self.chart.var_name(k)
             if k[0] == KIND_DERIV:
                 fidx = chart.key_of(self.chart.functions[k[1]].name)[1]
                 return Expression.from_key(chart, (KIND_DERIV, fidx, k[2], k[3]))
-            return Expression.var(chart, name)
+            return Expression.var(chart, self.chart.var_name(k))
 
-        lookup.chart = chart
-        num = self._map_poly(self.num, lookup)
-        den = self._map_poly(self.den, lookup)
-        return num / den
+        return self.map_vars({k: image(k) for k in self.variables()}, chart)
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a point given as {name: Fraction}."""
@@ -426,11 +422,3 @@ class TotalDerivation:
                 continue
             out = out + c * e.partial(key)
         return out
-
-
-def zero(chart: Chart) -> Expression:
-    return Expression.const(chart, 0)
-
-
-def one(chart: Chart) -> Expression:
-    return Expression.const(chart, 1)

@@ -22,8 +22,10 @@ from .errors import (
     VanishingJacobian,
 )
 from .expr import Expression
-from .forms import Coframe, DifferentialForm
+from .forms import Coframe, DifferentialForm, VectorField
 from .pfaffian import (
+    StructureEquations,
+    _normalize_sign,
     absorb_torsion,
     cartan_characters,
     coframe_structure_equations,
@@ -91,10 +93,6 @@ class EquivalenceReport:
         return out
 
 
-def _normalize_sign(e: Expression) -> Expression:
-    return -e if e.num.lead_coeff < 0 else e
-
-
 @lru_cache(maxsize=1)
 def _symbolic_report() -> EquivalenceReport:
     ch = ode2_bundle_chart()
@@ -151,16 +149,12 @@ def _coerce_rhs(f, chart: Chart) -> Expression:
         ) from None
 
 
-def run_equivalence_ode2(f: Expression | None = None,
-                         max_prolong: int | None = None) -> EquivalenceReport:
+def run_equivalence_ode2(f: Expression | None = None) -> EquivalenceReport:
     """Invariant coframe of y'' = f; symbolic f when none is given.
 
     The symbolic run is computed once and cached; a concrete right-hand
-    side is substituted into it.  ``max_prolong`` is accepted for
-    interface stability; this class terminates without prolongation.
+    side is substituted into it.  This class needs no prolongation.
     """
-    if max_prolong is not None and max_prolong < 0:
-        raise DomainError("max_prolong must be nonnegative")
     rep = _symbolic_report()
     if f is None:
         return rep
@@ -175,9 +169,6 @@ def run_equivalence_ode2(f: Expression | None = None,
             ch, form.degree, {i: se(c) for i, c in form.comps.items()}
         )
 
-    from .forms import VectorField
-    from .pfaffian import StructureEquations
-
     theta = [sform(t) for t in rep.theta]
     frame = [
         VectorField(ch, {i: se(c) for i, c in X.comps.items()})
@@ -187,7 +178,7 @@ def run_equivalence_ode2(f: Expression | None = None,
         ch, rep.structure.a, rep.structure.n, rep.structure.r,
         {k: se(c) for k, c in rep.structure.A.items()},
         {k: se(c) for k, c in rep.structure.T.items()},
-        [sform(t) for t in rep.structure.theta_forms],
+        theta,
         [sform(t) for t in rep.structure.pi_forms],
     )
     essential = []
@@ -306,17 +297,9 @@ def realize_syzygy(rel: Expression, rep: EquivalenceReport) -> Expression:
         values[ach.key_of(f"I{m}")] = inv
         for i in (1, 2, 3, 4):
             values[ach.key_of(f"X{i}I{m}")] = rep.frame[i - 1](inv)
-
-    def lookup(k):
-        got = values.get(k)
-        if got is None:
-            raise DomainError("relation mentions a coframe direction")
-        return got
-
-    lookup.chart = rep.chart
-    num = rel._map_poly(rel.num, lookup)
-    den = rel._map_poly(rel.den, lookup)
-    return num / den
+    if not rel.variables() <= values.keys():
+        raise DomainError("relation mentions a coframe direction")
+    return rel.map_vars(values, rep.chart)
 
 
 # ----------------------------------------------------------------------

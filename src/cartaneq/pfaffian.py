@@ -86,51 +86,38 @@ class PfaffianSystem:
         return True
 
 
-def _split_expansion(chart, expanded, a_count, n, r, offset, reduce_mod):
-    """Sort the 2-form coefficients of one d(omega) into tableau and torsion.
+def _structure_equations(coframe, omega, theta, pi) -> StructureEquations:
+    """Tableau and torsion of each d(omega) expanded on ``coframe``.
 
-    ``offset`` is the global index of the first theta; pi starts right
-    after the theta block.  With ``reduce_mod`` set, pairs touching the
-    leading ``offset`` indices are discarded instead of rejected.
+    The coframe lists the ideal generators first, then theta, then pi.
+    Pairs touching a generator vanish modulo the ideal and are dropped; a
+    lifted coframe has no generators ahead of theta, so nothing is.
     """
-    A_row = {}
-    T_row = {}
-    for (u, v), c in expanded.items():
-        u_theta = offset <= u < offset + n
-        v_theta = offset <= v < offset + n
-        u_pi = u >= offset + n
-        v_pi = v >= offset + n
-        if u_pi and v_pi:
-            raise NotLinear("a pi ^ pi term appears in the structure equations")
-        if u_theta and v_theta:
-            T_row[(u - offset, v - offset)] = c
-        elif u_theta and v_pi:
-            # stored as theta^i ^ pi^rho; the tableau is the pi ^ theta side
-            A_row[(v - offset - n, u - offset)] = -c
-        elif not reduce_mod:
-            raise NotLinear("unexpected term outside the theta/pi span")
-        # anything with an omega factor is killed modulo the ideal
-    return A_row, T_row
+    n, r = len(theta), len(pi)
+    offset = coframe.chart.dim - n - r
+    A = {}
+    T = {}
+    for alpha, w in enumerate(omega):
+        # index pairs come increasing, so a pi in front means pi ^ pi
+        for (u, v), c in coframe.express(w.d()).items():
+            if u < offset:
+                continue
+            if u >= offset + n:
+                raise NotLinear("a pi ^ pi term appears in the structure equations")
+            if v < offset + n:
+                T[(alpha, u - offset, v - offset)] = c
+            else:
+                # stored as theta^i ^ pi^rho; the tableau is the pi ^ theta side
+                A[(alpha, v - offset - n, u - offset)] = -c
+    return StructureEquations(
+        coframe.chart, len(omega), n, r, A, T, theta, pi
+    )
 
 
 def structure_equations(system: PfaffianSystem) -> StructureEquations:
     """Tableau and torsion of d(omega) modulo the system ideal."""
-    a = len(system.omega)
-    n = len(system.theta)
-    r = len(system.pi)
-    A = {}
-    T = {}
-    for alpha, w in enumerate(system.omega):
-        expanded = system.coframe.express(w.d())
-        A_row, T_row = _split_expansion(
-            system.chart, expanded, a, n, r, offset=a, reduce_mod=True
-        )
-        for (rho, i), c in A_row.items():
-            A[(alpha, rho, i)] = c
-        for (j, k), c in T_row.items():
-            T[(alpha, j, k)] = c
-    return StructureEquations(
-        system.chart, a, n, r, A, T, system.theta, system.pi
+    return _structure_equations(
+        system.coframe, system.omega, system.theta, system.pi
     )
 
 
@@ -144,21 +131,8 @@ def coframe_structure_equations(chart, theta_forms, pi_forms=()):
     """
     theta_forms = list(theta_forms)
     pi_forms = list(pi_forms)
-    n = len(theta_forms)
-    r = len(pi_forms)
     cof = Coframe(chart, theta_forms + pi_forms)
-    A = {}
-    T = {}
-    for alpha, w in enumerate(theta_forms):
-        expanded = cof.express(w.d())
-        A_row, T_row = _split_expansion(
-            chart, expanded, n, n, r, offset=0, reduce_mod=False
-        )
-        for (rho, i), c in A_row.items():
-            A[(alpha, rho, i)] = c
-        for (j, k), c in T_row.items():
-            T[(alpha, j, k)] = c
-    return StructureEquations(chart, n, n, r, A, T, theta_forms, pi_forms)
+    return _structure_equations(cof, theta_forms, theta_forms, pi_forms)
 
 
 def is_linear(system: PfaffianSystem) -> bool:
@@ -359,20 +333,7 @@ def cartan_characters(eqs: StructureEquations) -> InvolutionReport:
     s = [sigma[0]] + [sigma[k] - sigma[k - 1] for k in range(1, n)]
 
     # freedom in the homogeneous absorption equations
-    ncols = r * n
-    hom_rows = []
-    for alpha in range(a):
-        for j, k in combinations(range(n), 2):
-            row = [zero] * ncols
-            for rho in range(r):
-                Aj = eqs.A.get((alpha, rho, j))
-                Ak = eqs.A.get((alpha, rho, k))
-                if Aj is not None:
-                    row[rho * n + k] = row[rho * n + k] + Aj
-                if Ak is not None:
-                    row[rho * n + j] = row[rho * n + j] - Ak
-            hom_rows.append(row)
-    free_lambda = ncols - (linsolve.rank(hom_rows, chart) if hom_rows else 0)
+    free_lambda = len(absorb_torsion(eqs).free)
 
     # kernel of w -> A(w) as an (a n) x r matrix
     ker_rows = []

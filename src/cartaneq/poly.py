@@ -152,11 +152,6 @@ class Polynomial:
     def variables(self) -> frozenset:
         return frozenset(k for m, _ in self.terms for k, _ in m)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return sum(e for _, e in self.terms[0][0])
-
     def degree_in(self, key) -> int:
         d = 0
         for m, _ in self.terms:
@@ -330,25 +325,6 @@ class Polynomial:
                 v *= vals[k] ** e
             total += v
         return total
-
-    def eval_partial(self, vals) -> "Polynomial":
-        """Substitute integer values for a subset of the variables."""
-        d = {}
-        for m, c in self.terms:
-            rest = []
-            for k, e in m:
-                if k in vals:
-                    c *= vals[k] ** e
-                else:
-                    rest.append((k, e))
-            if c:
-                nm = tuple(rest)
-                nc = d.get(nm, 0) + c
-                if nc:
-                    d[nm] = nc
-                elif nm in d:
-                    del d[nm]
-        return Polynomial.from_dict(d)
 
     def univariate_image(self, key, vals):
         """Integer coefficient list in ``key`` after evaluating all else.

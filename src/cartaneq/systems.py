@@ -30,6 +30,13 @@ def _require_chart(e: Expression, chart: Chart, name: str) -> Expression:
     return e
 
 
+def d(e: Expression, *names: str) -> Expression:
+    """Iterated partial derivative of e along ``names``, in order."""
+    for n in names:
+        e = e.partial(n)
+    return e
+
+
 def check_flat_ode_system(F1: Expression, F2: Expression) -> FlatnessReport:
     """The eight obstructions for x'' = F(t, x, x') to linearize to x'' = 0.
 
@@ -47,11 +54,6 @@ def check_flat_ode_system(F1: Expression, F2: Expression) -> FlatnessReport:
         "dx1": F1,
         "dx2": F2,
     })
-
-    def d(e, *names):
-        for n in names:
-            e = e.partial(n)
-        return e
 
     r1 = d(F2, "dx1", "dx1", "dx1")
     r2 = d(F1, "dx2", "dx2", "dx2")
@@ -124,11 +126,6 @@ def check_flat_pde_system(f11: Expression, f12: Expression,
     f11 = _require_chart(f11, ch, "f11")
     f12 = _require_chart(f12, ch, "f12")
     f22 = _require_chart(f22, ch, "f22")
-
-    def d(e, *names):
-        for n in names:
-            e = e.partial(n)
-        return e
 
     r1 = d(f11, "u2", "u2")
     r2 = d(f22, "u1", "u1")

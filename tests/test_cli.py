@@ -5,9 +5,14 @@ shell user would, including exit codes.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cartaneq
 from cartaneq import cli
 
 
@@ -222,6 +227,33 @@ def test_huge_exponent_exits_3(capsys):
     code, _, err = run(capsys, "invariants", "--f", "x^999999")
     assert code == 3
     assert err == "error: exponent 999999 exceeds 512\n"
+
+
+def test_max_prolong_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["invariants", "--max-prolong", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-prolong" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader of the pipe is gone before anything is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    src = str(Path(cartaneq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cartaneq.cli", "structure", "--format", "latex"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode != 0
+    assert proc.stderr == b""
 
 
 def test_unknown_name_is_a_parse_error(capsys):

@@ -142,8 +142,6 @@ def test_concrete_rhs_must_live_downstairs():
     other = Chart(coords=("x", "y", "z"))
     with pytest.raises(DomainError):
         run_equivalence_ode2(parse_expression("z", other))
-    with pytest.raises(DomainError):
-        run_equivalence_ode2(E("0"), max_prolong=-1)
 
 
 def test_syzygies_symbolic():
@@ -163,6 +161,14 @@ def test_syzygies_realize_to_zero():
         rep = run_equivalence_ode2(f)
         for r in rel.relations:
             assert realize_syzygy(r, rep).is_zero
+
+
+def test_realize_syzygy_rejects_coframe_directions():
+    rel = syzygies_ode2().relations[0]
+    q1 = Expression.var(rel.chart, "q1")
+    rep = run_equivalence_ode2(E("6*y^2 + x"))
+    with pytest.raises(DomainError):
+        realize_syzygy(rel + q1, rep)
 
 
 def test_syzygies_of_the_flat_equation_are_trivial():
