@@ -6,10 +6,20 @@ re-sorts and drops zero coefficients, equal polynomials are identical
 objects term for term, which is what makes the canonical form of the
 rational layer bit-for-bit reproducible.
 
-The gcd is exact over the integers and is computed in stages: trivial
-cases, trial exact division, a random-specialization certificate that can
-prove single variables absent from the gcd, and finally a primitive
-pseudo-remainder sequence in one chosen variable.
+The gcd is exact over the integers and is computed in stages:
+
+1. trivial cases (equal operands up to sign);
+2. trial exact division, smaller operand first;
+3. a certificate that specializes all variables but one at a point drawn
+   from the operands themselves, computes mod the prime 2^61 - 1, and can
+   prove single variables absent from the gcd;
+4. the heuristic gcd GCDHEU of Char, Geddes and Gonnet (J. Symbolic
+   Comput. 7, 1989): evaluate at a large integer, take the integer gcd,
+   interpolate back and accept only a result that divides both operands;
+5. when the heuristic gives up, a primitive pseudo-remainder sequence in
+   one chosen variable.  This fallback is counted in ``prs_fallbacks``.
+
+Every stage depends only on its operands, never on earlier calls.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 
 from .errors import DivisionByZero
 
@@ -326,25 +337,6 @@ class Polynomial:
             total += v
         return total
 
-    def univariate_image(self, key, vals):
-        """Integer coefficient list in ``key`` after evaluating all else.
-
-        Returns coefficients ascending by exponent, trailing zeros trimmed.
-        """
-        n = self.degree_in(key)
-        out = [0] * (n + 1)
-        for m, c in self.terms:
-            e0 = 0
-            for k, e in m:
-                if k == key:
-                    e0 = e
-                else:
-                    c *= vals[k] ** e
-            out[e0] += c
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
 
 _ZERO = Polynomial(())
 _ONE = Polynomial((((), 1),))
@@ -379,11 +371,35 @@ def exact_div(a: Polynomial, b: Polynomial):
             out.append((m, q))
         return Polynomial(tuple(out))
 
+    # The remainder is a's terms, read in order, plus the products of the
+    # quotient with b's tail, kept in a dict and a heap of their sort
+    # keys; each step takes the remainder's leading term.  Those products
+    # all lie below the current leading term, so a monomial once taken
+    # never comes back, and a heap entry whose monomial was merged with a
+    # term of a is stale.
     bm, bc = b.terms[0]
-    rem = list(a.terms)
+    tail = b.terms[1:]
+    terms = a.terms
+    n = len(terms)
+    i = 0
+    akey = _mkey(terms[0][0])
+    pending = {}
+    heap = []
     quot = []
-    while rem:
-        lm, lc = rem[0]
+    while i < n or heap:
+        if i < n and (not heap or akey <= heap[0][0]):
+            lm, lc = terms[i]
+            i += 1
+            if i < n:
+                akey = _mkey(terms[i][0])
+            lc += pending.pop(lm, 0)
+        else:
+            lm = heappop(heap)[1]
+            lc = pending.pop(lm, None)
+            if lc is None:
+                continue
+        if not lc:
+            continue
         qm = _mdiv(lm, bm)
         if qm is None:
             return None
@@ -391,77 +407,154 @@ def exact_div(a: Polynomial, b: Polynomial):
         if r:
             return None
         quot.append((qm, qc))
-        # rem -= (qm, qc) * b, merging two descending-sorted term lists
-        prod = [(_mmul(qm, m), qc * c) for m, c in b.terms]
-        merged = []
-        i, j = 1, 1  # leading terms cancel by construction
-        while i < len(rem) and j < len(prod):
-            mi, ci = rem[i]
-            mj, cj = prod[j]
-            if mi == mj:
-                c = ci - cj
-                if c:
-                    merged.append((mi, c))
-                i += 1
-                j += 1
-            elif _mkey(mi) < _mkey(mj):
-                merged.append((mi, ci))
-                i += 1
+        for m, c in tail:
+            pm = _mmul(qm, m)
+            if pm in pending:
+                pending[pm] -= qc * c
             else:
-                merged.append((mj, -cj))
-                j += 1
-        merged.extend(rem[i:])
-        merged.extend((m, -c) for m, c in prod[j:])
-        rem = merged
-    quot.sort(key=lambda t: _mkey(t[0]))
+                pending[pm] = -qc * c
+                heappush(heap, (_mkey(pm), pm))
+    # leading terms came out in descending order, so quot is sorted
     return Polynomial(tuple(quot))
 
 
 # ----------------------------------------------------------------------
 # gcd
 
-_CERT_RNG = random.Random(0x5EED)
+_P = (1 << 61) - 1  # a Mersenne prime: the certificate computes mod _P
 _CERT_TRIES = 8
+_HEU_TRIES = 6
+
+# gcds the heuristic gave up on, finished by the pseudo-remainder sequence
+prs_fallbacks = 0
 
 
-def _int_list_gcd_degree(f, g) -> int:
-    """Degree of gcd of two integer coefficient lists (ascending)."""
-    # primitive Euclid over Q is enough; work with Fractions for clarity
-    a = [Fraction(c) for c in f]
-    b = [Fraction(c) for c in g]
-    while b:
-        # a mod b
-        while len(a) >= len(b):
-            if not a:
-                break
-            q = a[-1] / b[-1]
-            off = len(a) - len(b)
-            for i in range(len(b)):
-                a[off + i] -= q * b[i]
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
+def _image_mod_p(p: Polynomial, key, vals):
+    """Coefficients of p in ``key`` mod _P at ``vals``, ascending, untrimmed."""
+    out = [0] * (p.degree_in(key) + 1)
+    for m, c in p.terms:
+        e0 = 0
+        for k, e in m:
+            if k == key:
+                e0 = e
+            else:
+                c *= vals[k] ** e
+        out[e0] += c % _P
+    return [c % _P for c in out]
+
+
+def _gcd_degree_mod_p(f, g) -> int:
+    """Degree of the gcd of two coefficient lists (ascending) over GF(_P).
+
+    Both lists must have a nonzero leading entry; ``f`` is consumed.
+    """
+    while g:
+        inv = pow(g[-1], -1, _P)
+        dg = len(g) - 1
+        while len(f) > dg:
+            q = f.pop() * inv % _P
+            off = len(f) - dg
+            for i in range(dg):
+                f[off + i] = (f[off + i] - q * g[i]) % _P
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
 
 
 def _certify_var_absent(a: Polynomial, b: Polynomial, key) -> bool:
     """Try to prove deg_key(gcd(a, b)) == 0 by univariate specialization.
 
-    If a random point keeps the leading coefficients of both operands in
-    ``key`` nonzero, any common divisor keeps its ``key``-degree under the
-    specialization, so a degree-zero univariate gcd settles the question.
-    False means inconclusive, never "present".
+    If a point keeps the leading coefficients of both operands in ``key``
+    nonzero mod _P, any common divisor keeps its ``key``-degree under the
+    specialization, so a degree-zero gcd of the images settles the
+    question.  The points are drawn from a generator seeded with the
+    operands, so the verdict depends on nothing else.  False means
+    inconclusive, never "present".
     """
-    others = (a.variables() | b.variables()) - {key}
-    da, db = a.degree_in(key), b.degree_in(key)
+    rng = random.Random(hash((a, b, key)))
+    others = sorted((a.variables() | b.variables()) - {key})
     for _ in range(_CERT_TRIES):
-        vals = {k: _CERT_RNG.randint(-17, 17) for k in others}
-        fa = a.univariate_image(key, vals)
-        fb = b.univariate_image(key, vals)
-        if len(fa) - 1 != da or len(fb) - 1 != db:
+        vals = {k: rng.randrange(1, _P) for k in others}
+        fa = _image_mod_p(a, key, vals)
+        fb = _image_mod_p(b, key, vals)
+        if not (fa[-1] and fb[-1]):
             continue  # a leading coefficient vanished, pick a new point
-        return _int_list_gcd_degree(fa, fb) == 0
+        return _gcd_degree_mod_p(fa, fb) == 0
     return False
+
+
+def _eval_var(p: Polynomial, key, xi: int) -> Polynomial:
+    """p with the variable ``key`` set to the integer xi."""
+    powers = [1]
+    for _ in range(p.degree_in(key)):
+        powers.append(powers[-1] * xi)
+    d = {}
+    for m, c in p.terms:
+        for i, (k, e) in enumerate(m):
+            if k == key:
+                c *= powers[e]
+                m = m[:i] + m[i + 1:]
+                break
+        d[m] = d.get(m, 0) + c
+    return Polynomial.from_dict(d)
+
+
+def _interpolate(h: Polynomial, key, xi: int) -> Polynomial:
+    """Read each coefficient of h in symmetric base-xi digits, the digit
+    of weight xi^e becoming the coefficient of key^e."""
+    half = xi // 2
+    d = {}
+    for m, c in h.terms:
+        e = 0
+        while c:
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                d[_mmul(m, ((key, e),)) if e else m] = r
+            c = (c - r) // xi
+            e += 1
+    return Polynomial.from_dict(d)
+
+
+def _max_norm(p: Polynomial) -> int:
+    return max(abs(c) for _, c in p.terms)
+
+
+def _heu_gcd(a: Polynomial, b: Polynomial):
+    """GCDHEU: gcd of two nonzero polynomials, or None when it gives up.
+
+    One variable is set to an integer xi, the gcd of the images is found
+    the same way down to an integer gcd, and its symmetric xi-adic digits
+    are read back as the coefficients of that variable.  With xi at least
+    2 min(|a|, |b|) + 2 in max norm, a primitive result that divides both
+    operands is the gcd up to the integer content (Char, Geddes and
+    Gonnet 1989); the bound holds at every level, since each level
+    chooses xi from its own operands.
+    """
+    if a.is_const or b.is_const:
+        return Polynomial.const(math.gcd(a.icontent(), b.icontent()))
+    ca, cb = a.icontent(), b.icontent()
+    a, b = a.div_int(ca), b.div_int(cb)
+    key = min(a.variables() | b.variables())
+    na, nb = _max_norm(a), _max_norm(b)
+    xi = max(2 * min(na, nb) + 29,
+             2 * min(na // abs(a.lead_coeff), nb // abs(b.lead_coeff)) + 4)
+    for _ in range(_HEU_TRIES):
+        fa, fb = _eval_var(a, key, xi), _eval_var(b, key, xi)
+        if not (fa.is_zero or fb.is_zero):
+            h = _heu_gcd(fa, fb)
+            if h is None:
+                return None
+            h = _interpolate(h, key, xi)
+            h = h.div_int(h.icontent())
+            if exact_div(a, h) is not None and exact_div(b, h) is not None:
+                return h.monic_sign().scale(math.gcd(ca, cb))
+        # grow by a factor of about 2.73 xi^(1/4), the schedule of SymPy's
+        # dmp_zz_heu_gcd
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
 
 
 def _to_univariate(p: Polynomial, key):
@@ -544,6 +637,25 @@ def _univ_prs_gcd(f, g):
     return f
 
 
+def _prs_gcd(a: Polynomial, b: Polynomial, undecided) -> Polynomial:
+    """The counted fallback: primitive PRS in the cheapest undecided variable."""
+    global prs_fallbacks
+    prs_fallbacks += 1
+
+    def cost(k):
+        da, db = a.degree_in(k), b.degree_in(k)
+        return (min(da, db), da + db)
+
+    key = min(undecided, key=cost)
+    ua, ub = _to_univariate(a, key), _to_univariate(b, key)
+    ua, conta = _primitive_univ(ua)
+    ub, contb = _primitive_univ(ub)
+    gp = _univ_prs_gcd(ua, ub)
+    gp, _ = _primitive_univ(gp)
+    g = _from_univariate(gp, key) * gcd(conta, contb)
+    return g.monic_sign()
+
+
 @lru_cache(maxsize=1 << 14)
 def _gcd_cached(a: Polynomial, b: Polynomial) -> Polynomial:
     # both nonzero, non-constant, integer- and monomial-content free
@@ -561,26 +673,14 @@ def _gcd_cached(a: Polynomial, b: Polynomial) -> Polynomial:
     if not shared:
         return _ONE
 
-    undecided = []
-    for key in sorted(shared):
-        if not _certify_var_absent(a, b, key):
-            undecided.append(key)
+    undecided = [k for k in sorted(shared) if not _certify_var_absent(a, b, k)]
     if not undecided:
         return _ONE
 
-    # pseudo-remainder sequence in the cheapest undecided variable
-    def cost(k):
-        da, db = a.degree_in(k), b.degree_in(k)
-        return (min(da, db), da + db)
-
-    key = min(undecided, key=cost)
-    ua, ub = _to_univariate(a, key), _to_univariate(b, key)
-    ua, conta = _primitive_univ(ua)
-    ub, contb = _primitive_univ(ub)
-    gp = _univ_prs_gcd(ua, ub)
-    gp, _ = _primitive_univ(gp)
-    g = _from_univariate(gp, key) * gcd(conta, contb)
-    return g.monic_sign()
+    g = _heu_gcd(a, b)
+    if g is None:
+        g = _prs_gcd(a, b, undecided)
+    return g
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -1,9 +1,13 @@
+import os
 import random
-
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cartaneq
 from cartaneq import Chart, Expression
 
 
@@ -74,3 +78,25 @@ def point_for(exprs, rng):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def run_fresh(code, *args, timeout):
+    """Run ``code`` in a fresh interpreter that imports this cartaneq.
+
+    Returns its stdout; fails the test if it exits nonzero or does not
+    finish within ``timeout`` seconds.
+    """
+    env = dict(os.environ)
+    src = str(Path(cartaneq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            capture_output=True, text=True, env=env, timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{args} did not finish in {timeout} s")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
