@@ -58,21 +58,17 @@ class Chart:
     differential forms (parameters are differentiated like coordinates, e.g.
     da3 is a legitimate 1-form).  ``functions`` declares the opaque symbols
     available on the chart; every argument must be a declared coordinate.
-    ``nonvanishing`` records names assumed nonzero; the problem layer
-    consults it for error messages, the field arithmetic itself only ever
-    rejects division by exact zero.
     """
 
     __slots__ = (
         "coords",
         "params",
         "functions",
-        "nonvanishing",
         "_index",
         "_hash",
     )
 
-    def __init__(self, coords, params=(), functions=(), nonvanishing=()):
+    def __init__(self, coords, params=(), functions=()):
         self.coords = tuple(coords)
         self.params = tuple(params)
         fns = []
@@ -83,7 +79,6 @@ class Chart:
                 name, args = item
                 fns.append(OpaqueFunction(name, tuple(args)))
         self.functions = tuple(fns)
-        self.nonvanishing = frozenset(nonvanishing)
 
         names = {}
         for i, c in enumerate(self.coords):
@@ -103,13 +98,8 @@ class Chart:
                     raise ValueError(
                         f"argument {a!r} of {fn.name!r} is not a coordinate"
                     )
-        for nv in self.nonvanishing:
-            if nv not in names:
-                raise ValueError(f"nonvanishing name {nv!r} not declared")
         self._index = names
-        self._hash = hash(
-            (self.coords, self.params, self.functions, self.nonvanishing)
-        )
+        self._hash = hash((self.coords, self.params, self.functions))
 
     # ------------------------------------------------------------------
     # identity
@@ -120,7 +110,6 @@ class Chart:
             and self.coords == other.coords
             and self.params == other.params
             and self.functions == other.functions
-            and self.nonvanishing == other.nonvanishing
         )
 
     def __hash__(self):
@@ -252,20 +241,10 @@ class Chart:
     # chart extension (keys of existing variables never change)
 
     def extend_coords(self, names):
-        return Chart(
-            self.coords + tuple(names),
-            self.params,
-            self.functions,
-            self.nonvanishing,
-        )
+        return Chart(self.coords + tuple(names), self.params, self.functions)
 
     def extend_params(self, names):
-        return Chart(
-            self.coords,
-            self.params + tuple(names),
-            self.functions,
-            self.nonvanishing,
-        )
+        return Chart(self.coords, self.params + tuple(names), self.functions)
 
     def is_extension_of(self, other: "Chart") -> bool:
         """True when every key valid on ``other`` means the same here."""

@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import poly
 from .chart import KIND_COORD, KIND_DERIV, KIND_PARAM, Chart
 from .errors import ArgumentEscape, ChartMismatch, DivisionByZero, UnknownName
+# bench/tracing.py wraps exact_div and gcd here; expr itself calls neither
 from .poly import Polynomial, exact_div, gcd
 
 
@@ -41,10 +42,7 @@ class Expression:
             raise DivisionByZero("zero denominator")
         if num.is_zero:
             return Expression(chart, poly.zero(), poly.one())
-        g = gcd(num, den)
-        if not (g == poly.one()):
-            num = exact_div(num, g)
-            den = exact_div(den, g)
+        _, num, den = poly.cofactors(num, den)
         if den.lead_coeff < 0:
             num, den = -num, -den
         return Expression(chart, num, den)
@@ -133,21 +131,13 @@ class Expression:
         c, d = other.num, other.den
         if b == d:
             return Expression.make(self.chart, a + c, b)
-        g = gcd(b, d)
-        if g == poly.one():
-            num = a * d + c * b
-            if num.is_zero:
-                return Expression.const(self.chart, 0)
-            return Expression(self.chart, num, b * d)
-        b1 = exact_div(b, g)
-        d1 = exact_div(d, g)
+        g, b1, d1 = poly.cofactors(b, d)
         num = a * d1 + c * b1
         if num.is_zero:
             return Expression.const(self.chart, 0)
-        h = gcd(num, g)
-        if not (h == poly.one()):
-            num = exact_div(num, h)
-            g = exact_div(g, h)
+        if g == poly.one():
+            return Expression(self.chart, num, b * d)
+        _, num, g = poly.cofactors(num, g)
         return Expression(self.chart, num, g * b1 * d1)
 
     __radd__ = __add__
@@ -169,14 +159,8 @@ class Expression:
         c, d = other.num, other.den
         if a.is_zero or c.is_zero:
             return Expression.const(self.chart, 0)
-        g1 = gcd(a, d)
-        g2 = gcd(c, b)
-        if not (g1 == poly.one()):
-            a = exact_div(a, g1)
-            d = exact_div(d, g1)
-        if not (g2 == poly.one()):
-            c = exact_div(c, g2)
-            b = exact_div(b, g2)
+        _, a, d = poly.cofactors(a, d)
+        _, c, b = poly.cofactors(c, b)
         return Expression(self.chart, a * c, b * d)
 
     __rmul__ = __mul__

@@ -107,11 +107,3 @@ def det(matrix, chart: Chart) -> Expression:
         term = a * det(minor, chart)
         total = total + term if j % 2 == 0 else total - term
     return total
-
-
-def solve_homogeneous(rows, chart: Chart):
-    """Basis bookkeeping for A x = 0: returns (rref, pivots, free_cols)."""
-    red, pivots = rref(rows, chart)
-    ncols = len(rows[0]) if rows else 0
-    free = [c for c in range(ncols) if c not in pivots]
-    return red, pivots, free

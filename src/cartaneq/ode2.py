@@ -43,7 +43,6 @@ def ode2_bundle_chart() -> Chart:
         coords=("x", "y", "p"),
         params=("a3",),
         functions=[("f", ("x", "y", "p"))],
-        nonvanishing=("a3",),
     )
 
 

@@ -6,9 +6,11 @@ re-sorts and drops zero coefficients, equal polynomials are identical
 objects term for term, which is what makes the canonical form of the
 rational layer bit-for-bit reproducible.
 
-The gcd is exact over the integers and is computed in stages:
+``cofactors(a, b)`` returns the gcd over the integers with the quotients
+a/g and b/g.  It is computed in stages, and every stage but the last
+hands back the quotients it already holds:
 
-1. trivial cases (equal operands up to sign);
+1. equal operands;
 2. trial exact division, smaller operand first;
 3. a certificate that specializes all variables but one at a point drawn
    from the operands themselves, computes mod the prime 2^61 - 1, and can
@@ -17,7 +19,8 @@ The gcd is exact over the integers and is computed in stages:
    Comput. 7, 1989): evaluate at a large integer, take the integer gcd,
    interpolate back and accept only a result that divides both operands;
 5. when the heuristic gives up, a primitive pseudo-remainder sequence in
-   one chosen variable.  This fallback is counted in ``prs_fallbacks``.
+   one chosen variable, whose quotients are divided afresh.  This
+   fallback is counted in ``prs_fallbacks``.
 
 Every stage depends only on its operands, never on earlier calls.
 """
@@ -523,7 +526,8 @@ def _max_norm(p: Polynomial) -> int:
 
 
 def _heu_gcd(a: Polynomial, b: Polynomial):
-    """GCDHEU: gcd of two nonzero polynomials, or None when it gives up.
+    """GCDHEU: (g, a/g, b/g) for two non-constant polynomials, or None when
+    it gives up.
 
     One variable is set to an integer xi, the gcd of the images is found
     the same way down to an integer gcd, and its symmetric xi-adic digits
@@ -531,10 +535,9 @@ def _heu_gcd(a: Polynomial, b: Polynomial):
     2 min(|a|, |b|) + 2 in max norm, a primitive result that divides both
     operands is the gcd up to the integer content (Char, Geddes and
     Gonnet 1989); the bound holds at every level, since each level
-    chooses xi from its own operands.
+    chooses xi from its own operands.  The quotients are those of that
+    divisibility test.
     """
-    if a.is_const or b.is_const:
-        return Polynomial.const(math.gcd(a.icontent(), b.icontent()))
     ca, cb = a.icontent(), b.icontent()
     a, b = a.div_int(ca), b.div_int(cb)
     key = min(a.variables() | b.variables())
@@ -544,13 +547,23 @@ def _heu_gcd(a: Polynomial, b: Polynomial):
     for _ in range(_HEU_TRIES):
         fa, fb = _eval_var(a, key, xi), _eval_var(b, key, xi)
         if not (fa.is_zero or fb.is_zero):
-            h = _heu_gcd(fa, fb)
-            if h is None:
-                return None
+            # an integer image ends the recursion; its cofactors would be
+            # big-integer divisions that no caller reads
+            if fa.is_const or fb.is_const:
+                h = Polynomial.const(math.gcd(fa.icontent(), fb.icontent()))
+            else:
+                got = _heu_gcd(fa, fb)
+                if got is None:
+                    return None
+                h = got[0]
             h = _interpolate(h, key, xi)
             h = h.div_int(h.icontent())
-            if exact_div(a, h) is not None and exact_div(b, h) is not None:
-                return h.monic_sign().scale(math.gcd(ca, cb))
+            qa = exact_div(a, h)
+            qb = None if qa is None else exact_div(b, h)
+            if qb is not None:
+                cg = math.gcd(ca, cb)
+                s = cg if h.lead_coeff > 0 else -cg
+                return h.scale(s), qa.scale(ca // s), qb.scale(cb // s)
         # grow by a factor of about 2.73 xi^(1/4), the schedule of SymPy's
         # dmp_zz_heu_gcd
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
@@ -657,53 +670,72 @@ def _prs_gcd(a: Polynomial, b: Polynomial, undecided) -> Polynomial:
 
 
 @lru_cache(maxsize=1 << 14)
-def _gcd_cached(a: Polynomial, b: Polynomial) -> Polynomial:
-    # both nonzero, non-constant, integer- and monomial-content free
-    if a == b or a == -b:
-        return a.monic_sign()
+def _gcd_cached(a: Polynomial, b: Polynomial):
+    # both non-constant, integer- and monomial-content free, leading
+    # coefficients positive; returns (g, a/g, b/g)
+    if a == b:
+        return a, _ONE, _ONE
 
     # trial division, cheaper operand as candidate divisor first
-    first, second = (a, b) if len(a) <= len(b) else (b, a)
-    if exact_div(second, first) is not None:
-        return first.monic_sign()
-    if len(first) == len(second) and exact_div(first, second) is not None:
-        return second.monic_sign()
+    if len(a) <= len(b):
+        q = exact_div(b, a)
+        if q is not None:
+            return a, _ONE, q
+    if len(b) <= len(a):
+        q = exact_div(a, b)
+        if q is not None:
+            return b, q, _ONE
 
     shared = a.variables() & b.variables()
     if not shared:
-        return _ONE
+        return _ONE, a, b
 
     undecided = [k for k in sorted(shared) if not _certify_var_absent(a, b, k)]
     if not undecided:
-        return _ONE
+        return _ONE, a, b
 
-    g = _heu_gcd(a, b)
-    if g is None:
+    got = _heu_gcd(a, b)
+    if got is None:
         g = _prs_gcd(a, b, undecided)
-    return g
+        got = g, exact_div(a, g), exact_div(b, g)
+    return got
+
+
+def cofactors(a: Polynomial, b: Polynomial):
+    """(g, a/g, b/g) with g the gcd over Z, leading coefficient positive.
+
+    For two zero operands g and a/g are zero and b/g is one.
+    """
+    if a.is_zero:
+        s = -1 if b.lead_coeff < 0 else 1
+        return b.scale(s), _ZERO, Polynomial.const(s)
+    if b.is_zero:
+        s = -1 if a.lead_coeff < 0 else 1
+        return a.scale(s), Polynomial.const(s), _ZERO
+    ca, cb = a.icontent(), b.icontent()
+    if a.is_const or b.is_const:
+        cg = math.gcd(ca, cb)
+        return Polynomial.const(cg), a.div_int(cg), b.div_int(cg)
+
+    # signed contents, so that the cores have positive leading coefficients
+    if a.lead_coeff < 0:
+        ca = -ca
+    if b.lead_coeff < 0:
+        cb = -cb
+    ma, mb = a.mcontent(), b.mcontent()
+    a0, b0 = a.div_int(ca).div_mono(ma), b.div_int(cb).div_mono(mb)
+    if a0.is_const or b0.is_const:
+        g, qa, qb = _ONE, a0, b0
+    elif (len(b0), b0.terms) < (len(a0), a0.terms):
+        g, qb, qa = _gcd_cached(b0, a0)
+    else:
+        g, qa, qb = _gcd_cached(a0, b0)
+    cg, mg = math.gcd(ca, cb), _mgcd(ma, mb)
+    return (g.mul_term(mg, cg),
+            qa.mul_term(_mdiv(ma, mg), ca // cg),
+            qb.mul_term(_mdiv(mb, mg), cb // cg))
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Greatest common divisor over Z, leading coefficient positive."""
-    if a.is_zero:
-        return b.monic_sign()
-    if b.is_zero:
-        return a.monic_sign()
-    if a.is_const or b.is_const:
-        return Polynomial.const(math.gcd(a.icontent(), b.icontent()))
-
-    ca, cb = a.icontent(), b.icontent()
-    ma, mb = a.mcontent(), b.mcontent()
-    cg = math.gcd(ca, cb)
-    mg = _mgcd(ma, mb)
-    a0 = a.div_int(ca if a.terms[0][1] > 0 else -ca).div_mono(ma)
-    b0 = b.div_int(cb if b.terms[0][1] > 0 else -cb).div_mono(mb)
-    if a0.is_const:
-        core = _ONE
-    elif b0.is_const:
-        core = _ONE
-    else:
-        if (len(b0), b0.terms) < (len(a0), a0.terms):
-            a0, b0 = b0, a0
-        core = _gcd_cached(a0, b0)
-    return core.mul_term(mg, cg)
+    return cofactors(a, b)[0]

@@ -22,7 +22,6 @@ def opaque_chart():
         coords=("x", "y", "p"),
         params=("a3",),
         functions=[("f", ("x", "y", "p")), ("g", ("x", "y"))],
-        nonvanishing=("a3",),
     )
 
 

@@ -247,7 +247,6 @@ def test_rebase_and_project_roundtrip():
         coords=("x", "y", "p"),
         params=("a3",),
         functions=[("f", ("x", "y", "p"))],
-        nonvanishing=("a3",),
     )
     e = parse_expression("x^2 - y/3", base)
     up = e.rebase(big)

@@ -7,10 +7,10 @@ not depend on; they are skipped where SymPy is not installed.
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cartaneq import poly
-from cartaneq.poly import Polynomial, exact_div, gcd
+from cartaneq.poly import Polynomial, cofactors, exact_div, gcd
 from conftest import run_fresh
 
 NVARS = 3
@@ -53,8 +53,11 @@ def test_prs_fallback_is_counted_and_agrees(monkeypatch):
 
     monkeypatch.setattr(poly, "_heu_gcd", lambda a, b: None)
     poly._gcd_cached.cache_clear()
-    assert gcd(a, b) == want
+    got, qa, qb = cofactors(a, b)
+    assert got == want
     assert poly.prs_fallbacks > before
+    assert qa == X ** 2 + Y + Polynomial.const(2)
+    assert qb == X * Z - Y ** 2 + Polynomial.const(5)
     poly._gcd_cached.cache_clear()
 
 
@@ -63,8 +66,8 @@ def test_heuristic_rejects_an_unlucky_point():
     # whose integer gcd 32 reads back as x + 1, which does not divide a
     a = X + Polynomial.const(33)
     b = X + ONE
-    assert poly._heu_gcd(a, b) == ONE
-    assert poly._heu_gcd(a * (Y + Z), b * (Y + Z)) == Y + Z
+    assert poly._heu_gcd(a, b) == (ONE, a, b)
+    assert poly._heu_gcd(a * (Y + Z), b * (Y + Z)) == (Y + Z, a, b)
 
 
 # ----------------------------------------------------------------------
@@ -156,3 +159,29 @@ def test_gcd_of_multiples_is_the_greatest(a, b, g):
 def test_gcd_matches_sympy_on_arbitrary_pairs(a, b):
     assume(not (a.is_zero and b.is_zero))
     assert exact_div(gcd(a, b), sympy_gcd(a, b)) in (ONE, -ONE)
+
+
+# zero and constant operands next to the sparse ones
+operands = st.one_of(polys, coeffs.map(Polynomial.const))
+
+
+@given(operands, operands, polys)
+@example(Polynomial.const(0), Polynomial.const(0), ONE)
+@example(Polynomial.const(0), -X, ONE)
+@example(Polynomial.const(-6), Polynomial.const(0), ONE)
+@example(Polynomial.const(-4), Polynomial.const(6) * X, ONE)
+# GCDHEU reads this common factor back as y - x^2, leading coefficient -1
+@example(X + Y + ONE, X - Y + Polynomial.const(2), X ** 2 - Y)
+@settings(max_examples=150, deadline=None)
+def test_cofactors_multiply_back_to_the_operands(a, b, f):
+    # a common factor takes the pair past trial division and the certificate
+    if not f.is_zero:
+        a, b = f * a, f * b
+    g, qa, qb = cofactors(a, b)
+    assert g * qa == a and g * qb == b
+    assert g == gcd(a, b)
+    if a.is_zero and b.is_zero:
+        assert g.is_zero
+        return
+    assert g.lead_coeff > 0
+    assert exact_div(g, sympy_gcd(a, b)) in (ONE, -ONE)

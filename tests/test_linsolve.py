@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cartaneq import Chart, Expression, SingularCoframe
-from cartaneq.linsolve import det, invert, rank, rref, solve_homogeneous
+from cartaneq.linsolve import det, invert, rank, rref
 
 from conftest import seeded
 
@@ -124,21 +124,3 @@ def test_det_multiplicative_on_symbolic_entries():
         for i in range(2)
     ]
     assert det(AB, ch) == det(A, ch) * det(B, ch)
-
-
-def test_solve_homogeneous_spans_kernel():
-    rng = seeded(505)
-    for _ in range(30):
-        rows = _random_matrix(rng, rng.randint(1, 3), rng.randint(1, 4))
-        ncols = len(rows[0])
-        red, pivots, free = solve_homogeneous(rows, CH)
-        assert len(free) == ncols - _frac_rank(rows)
-        # back-substitute each free column into a kernel vector
-        for fc in free:
-            vec = [C(0)] * ncols
-            vec[fc] = C(1)
-            for r, pc in enumerate(pivots):
-                vec[pc] = -red[r][fc]
-            for row in rows:
-                s = sum((row[j] * vec[j] for j in range(ncols)), C(0))
-                assert s.is_zero
