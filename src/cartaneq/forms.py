@@ -39,17 +39,6 @@ def _merge_sign(i_tuple, j_tuple):
     return tuple(merged), sign
 
 
-def _insert_sign(idx, i_tuple):
-    """Insert one index into an increasing tuple, with sign; repeat kills."""
-    if idx in i_tuple:
-        return None, 0
-    pos = 0
-    while pos < len(i_tuple) and i_tuple[pos] < idx:
-        pos += 1
-    sign = -1 if pos % 2 else 1
-    return i_tuple[:pos] + (idx,) + i_tuple[pos:], sign
-
-
 class DifferentialForm:
     """An exterior form of fixed degree with expression components."""
 
@@ -202,7 +191,7 @@ class DifferentialForm:
                 dc = c.partial(key)
                 if dc.is_zero:
                     continue
-                new_idx, sign = _insert_sign(pos, idx)
+                new_idx, sign = _merge_sign((pos,), idx)
                 term = dc if sign > 0 else -dc
                 out[new_idx] = out.get(new_idx, zero) + term
         return DifferentialForm(self.chart, self.degree + 1, out)
@@ -297,16 +286,15 @@ class Coframe:
             raise SingularCoframe(
                 f"need {n} one-forms for a coframe, got {len(self.forms)}"
             )
-        zero = Expression.const(chart, 0)
         for f in self.forms:
             if f.chart != chart:
                 raise ChartMismatch("coframe forms live on different charts")
             if f.degree != 1:
                 raise ValueError("coframe entries must be 1-forms")
-        self.matrix = [
-            [f.comps.get((k,), zero) for k in range(n)] for f in self.forms
-        ]
-        self.inverse = linsolve.invert(self.matrix, chart)
+        # row j of the inverse expands dz^j on the coframe
+        self.inverse = linsolve.invert(
+            [{k: c for (k,), c in f.comps.items()} for f in self.forms], chart
+        )
 
     def express(self, form: DifferentialForm):
         """Components of a form in the coframe basis.
@@ -317,31 +305,22 @@ class Coframe:
         """
         if form.chart != self.chart:
             raise ChartMismatch("form lives on a different chart")
-        n = self.chart.dim
-        k = form.degree
-        N = self.inverse
-        zero = Expression.const(self.chart, 0)
-        if k == 0:
+        if form.degree == 0:
             return dict(form.comps)
-        out = {}
-        from itertools import combinations
-
-        for big_idx in combinations(range(n), k):
-            total = zero
-            for j_idx, c in form.comps.items():
-                block = [[N[j][i] for i in big_idx] for j in j_idx]
-                m = linsolve.det(block, self.chart)
-                if not m.is_zero:
-                    total = total + c * m
-            if not total.is_zero:
-                out[big_idx] = total
-        return out
+        dz = [
+            DifferentialForm(self.chart, 1, {(i,): c for i, c in row.items()})
+            for row in self.inverse
+        ]
+        out = DifferentialForm.zero(self.chart, form.degree)
+        for idx, c in form.comps.items():
+            out = out + wedge(*(dz[j] for j in idx)) * c
+        return dict(sorted(out.comps.items()))
 
     def dual_frame(self):
         """Vector fields X_i with <X_i, theta^j> = delta_ij."""
-        n = self.chart.dim
-        N = self.inverse
         return [
-            VectorField(self.chart, {k: N[k][i] for k in range(n)})
-            for i in range(n)
+            VectorField(self.chart, {
+                k: row[i] for k, row in enumerate(self.inverse) if i in row
+            })
+            for i in range(self.chart.dim)
         ]

@@ -1,8 +1,9 @@
 """Exact linear algebra over the expression field.
 
-Everything here is plain Gauss-Jordan on lists of lists of Expressions.
-Because expression equality is decidable, ranks and pivots are exact; no
-numeric tolerance appears anywhere.
+A matrix is a list of sparse rows, each a ``{column: Expression}`` dict
+that stores only nonzero entries; elimination is plain Gauss-Jordan on
+those rows.  Because expression equality is decidable, ranks and pivots
+are exact; no numeric tolerance appears anywhere.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ def _pick_pivot(rows, col, start):
     best = None
     best_cost = None
     for r in range(start, len(rows)):
-        e = rows[r][col]
-        if e.is_zero:
+        e = rows[r].get(col)
+        if e is None:
             continue
         cost = (e.size, r)
         if best_cost is None or cost < best_cost:
@@ -34,33 +35,40 @@ def _pick_pivot(rows, col, start):
 def rref(rows, chart: Chart, max_col=None):
     """Reduced row echelon form; returns (new_rows, pivot_columns).
 
-    ``rows`` is not modified.  Only columns below ``max_col`` are eligible
-    as pivots, so trailing right-hand-side columns ride along passively.
+    ``rows`` is not modified, and zero entries are dropped from the copy.
+    Only columns below ``max_col`` are eligible as pivots, so trailing
+    right-hand-side columns ride along passively.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0]) if max_col is None else max_col
+    rows = [{c: e for c, e in r.items() if not e.is_zero} for r in rows]
+    cols = sorted({c for r in rows for c in r})
+    if max_col is not None:
+        cols = [c for c in cols if c < max_col]
     pivots = []
     r0 = 0
-    for col in range(ncols):
+    for col in cols:
         if r0 >= len(rows):
             break
         pr = _pick_pivot(rows, col, r0)
         if pr is None:
             continue
         rows[r0], rows[pr] = rows[pr], rows[r0]
-        piv = rows[r0][col]
+        prow = rows[r0]
+        piv = prow[col]
         if not (piv == 1):
             inv = Expression.const(chart, 1) / piv
-            rows[r0] = [e * inv for e in rows[r0]]
+            prow = rows[r0] = {c: e * inv for c, e in prow.items()}
         for r in range(len(rows)):
-            if r == r0:
+            row = rows[r]
+            factor = row.get(col)
+            if r == r0 or factor is None:
                 continue
-            factor = rows[r][col]
-            if factor.is_zero:
-                continue
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[r0])]
+            for c, b in prow.items():
+                a = row.get(c)
+                v = -(factor * b) if a is None else a - factor * b
+                if v.is_zero:
+                    del row[c]
+                else:
+                    row[c] = v
         pivots.append(col)
         r0 += 1
     return rows, pivots
@@ -71,39 +79,15 @@ def rank(rows, chart: Chart) -> int:
     return len(pivots)
 
 
-def invert(matrix, chart: Chart):
-    """Inverse of a square matrix of expressions.
+def invert(rows, chart: Chart):
+    """Inverse of a square matrix of expressions, as sparse rows.
 
     Raises SingularCoframe when the determinant vanishes identically.
     """
-    n = len(matrix)
+    n = len(rows)
     one = Expression.const(chart, 1)
-    zero = Expression.const(chart, 0)
-    aug = [
-        list(matrix[i]) + [one if i == j else zero for j in range(n)]
-        for i in range(n)
-    ]
-    red, pivots = rref(aug, chart)
-    if pivots[:n] != list(range(n)):
+    aug = [{**row, n + i: one} for i, row in enumerate(rows)]
+    red, pivots = rref(aug, chart, max_col=n)
+    if pivots != list(range(n)):
         raise SingularCoframe("matrix is singular")
-    return [row[n:] for row in red]
-
-
-def det(matrix, chart: Chart) -> Expression:
-    """Determinant by cofactor expansion; meant for small blocks."""
-    n = len(matrix)
-    if n == 0:
-        return Expression.const(chart, 1)
-    if n == 1:
-        return matrix[0][0]
-    if n == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    total = Expression.const(chart, 0)
-    for j in range(n):
-        a = matrix[0][j]
-        if a.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = a * det(minor, chart)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    return [{c - n: e for c, e in row.items() if c >= n} for row in red]

@@ -44,15 +44,20 @@ class ProlongationResult:
         return (len(self.pbar.num), len(self.qbar.num), len(self.rbar.num))
 
 
-@lru_cache(maxsize=1)
-def _symbolic_prolongation() -> ProlongationResult:
-    ch = ode3_chart()
-    D = TotalDerivation(ch, {
+def _total_derivation(ch: Chart) -> TotalDerivation:
+    """D = d/dx + p d/dy + q d/dp + f d/dq along solutions of y''' = f."""
+    return TotalDerivation(ch, {
         "x": 1,
         "y": Expression.var(ch, "p"),
         "p": Expression.var(ch, "q"),
         "q": Expression.var(ch, "f"),
     })
+
+
+@lru_cache(maxsize=1)
+def _symbolic_prolongation() -> ProlongationResult:
+    ch = ode3_chart()
+    D = _total_derivation(ch)
     xi = Expression.var(ch, "xi")
     eta = Expression.var(ch, "eta")
     # Work with polynomial numerators over explicit powers of B = D(xi):
@@ -92,12 +97,7 @@ def contact_prolongation_ode3(xi: Expression | None = None,
         return e.substitute("xi", xi).substitute("eta", eta)
 
     # the denominators are powers of D(xi); reject singular transformations
-    D = TotalDerivation(ch, {
-        "x": 1,
-        "y": Expression.var(ch, "p"),
-        "p": Expression.var(ch, "q"),
-        "q": Expression.var(ch, "f"),
-    })
+    D = _total_derivation(ch)
     if D(subst(Expression.var(ch, "xi"))).is_zero:
         raise VanishingJacobian("D(xi) vanishes identically")
     return ProlongationResult(

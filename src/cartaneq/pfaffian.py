@@ -197,21 +197,22 @@ def absorb_torsion(eqs: StructureEquations) -> AbsorptionSolution:
     """
     chart = eqs.chart
     n, r = eqs.n, eqs.r
-    zero = Expression.const(chart, 0)
     ncols = r * n
 
     rows = []
     for alpha in range(eqs.a):
         for j, k in combinations(range(n), 2):
-            row = [zero] * (ncols + 1)
+            row = {}
             for rho in range(r):
                 Aj = eqs.A.get((alpha, rho, j))
                 Ak = eqs.A.get((alpha, rho, k))
                 if Aj is not None:
-                    row[rho * n + k] = row[rho * n + k] + Aj
+                    row[rho * n + k] = Aj
                 if Ak is not None:
-                    row[rho * n + j] = row[rho * n + j] - Ak
-            row[ncols] = eqs.torsion_entry(alpha, j, k)
+                    row[rho * n + j] = -Ak
+            t = eqs.T.get((alpha, j, k))
+            if t is not None:
+                row[ncols] = t
             rows.append(row)
 
     red, pivots = linsolve.rref(rows, chart, max_col=ncols)
@@ -220,13 +221,12 @@ def absorb_torsion(eqs: StructureEquations) -> AbsorptionSolution:
     essential = []
     seen = set()
     for row in red:
-        if all(row[c].is_zero for c in range(ncols)):
-            rhs = row[ncols]
-            if not rhs.is_zero:
-                e = _normalize_sign(rhs)
-                if e not in seen:
-                    seen.add(e)
-                    essential.append(e)
+        # a row left with only its right-hand side is unabsorbable torsion
+        if list(row) == [ncols]:
+            e = _normalize_sign(row[ncols])
+            if e not in seen:
+                seen.add(e)
+                essential.append(e)
 
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     particular = {}
@@ -234,12 +234,12 @@ def absorb_torsion(eqs: StructureEquations) -> AbsorptionSolution:
     for row_idx, col in enumerate(pivots):
         row = red[row_idx]
         rho, i = divmod(col, n)
-        rhs = row[ncols]
-        if not rhs.is_zero:
+        rhs = row.get(ncols)
+        if rhs is not None:
             particular[(rho, i)] = rhs
         for fc in free_cols:
-            coeff = row[fc]
-            if not coeff.is_zero:
+            coeff = row.get(fc)
+            if coeff is not None:
                 homogeneous[fc][(rho, i)] = -coeff
 
     free = [divmod(c, n) for c in free_cols]
@@ -294,7 +294,6 @@ def cartan_characters(eqs: StructureEquations) -> InvolutionReport:
     """
     chart = eqs.chart
     a, n, r = eqs.a, eqs.n, eqs.r
-    zero = Expression.const(chart, 0)
 
     if r == 0 or n == 0:
         sigma = [0] * n
@@ -303,7 +302,6 @@ def cartan_characters(eqs: StructureEquations) -> InvolutionReport:
 
     flag_names = _fresh_param_names(chart, n * n, "t")
     big = chart.extend_params(flag_names)
-    bigzero = Expression.const(big, 0)
 
     def flag(k, i):
         return Expression.var(big, flag_names[k * n + i])
@@ -312,17 +310,11 @@ def cartan_characters(eqs: StructureEquations) -> InvolutionReport:
 
     def tableau_rows(k):
         # rows of A(v_k): one per alpha, columns rho
-        rows = []
-        for alpha in range(a):
-            row = []
-            for rho in range(r):
-                acc = bigzero
-                for i in range(n):
-                    entry = A_big.get((alpha, rho, i))
-                    if entry is not None:
-                        acc = acc + entry * flag(k, i)
-                row.append(acc)
-            rows.append(row)
+        rows = [{} for _ in range(a)]
+        for (alpha, rho, i), entry in A_big.items():
+            term = entry * flag(k, i)
+            prev = rows[alpha].get(rho)
+            rows[alpha][rho] = term if prev is None else prev + term
         return rows
 
     sigma = []
@@ -336,12 +328,9 @@ def cartan_characters(eqs: StructureEquations) -> InvolutionReport:
     free_lambda = len(absorb_torsion(eqs).free)
 
     # kernel of w -> A(w) as an (a n) x r matrix
-    ker_rows = []
-    for alpha in range(a):
-        for i in range(n):
-            ker_rows.append(
-                [eqs.A.get((alpha, rho, i), zero) for rho in range(r)]
-            )
+    ker_rows = [{} for _ in range(a * n)]
+    for (alpha, rho, i), entry in eqs.A.items():
+        ker_rows[alpha * n + i][rho] = entry
     kernel_dim = r - linsolve.rank(ker_rows, chart)
 
     dim_prolongation = free_lambda - n * kernel_dim
