@@ -9,7 +9,7 @@ lets d see through opaque function symbols.
 
 from __future__ import annotations
 
-from .chart import Chart
+from .chart import KIND_DERIV, Chart
 from .errors import ChartMismatch, SingularCoframe
 from .expr import Expression
 from . import linsolve
@@ -180,15 +180,28 @@ class DifferentialForm:
         return DifferentialForm(self.chart, self.degree + other.degree, out)
 
     def d(self) -> "DifferentialForm":
-        """Exterior derivative."""
-        keys = self.chart.basis_keys()
+        """Exterior derivative.
+
+        A component without opaque derivative symbols is differentiated
+        only along its own variables; one with such a symbol depends,
+        through the chain rule, on directions it does not name, so it is
+        differentiated along every basis direction.
+        """
+        chart = self.chart
+        keys = chart.basis_keys()
+        every = range(len(keys))
         out = {}
-        zero = Expression.const(self.chart, 0)
+        zero = Expression.const(chart, 0)
         for idx, c in self.comps.items():
-            for pos, key in enumerate(keys):
+            live = c.variables()
+            if any(k[0] == KIND_DERIV for k in live):
+                positions = every
+            else:
+                positions = sorted(chart.basis_index(k) for k in live)
+            for pos in positions:
                 if pos in idx:
                     continue
-                dc = c.partial(key)
+                dc = c.partial(keys[pos])
                 if dc.is_zero:
                     continue
                 new_idx, sign = _merge_sign((pos,), idx)
@@ -295,6 +308,10 @@ class Coframe:
         self.inverse = linsolve.invert(
             [{k: c for (k,), c in f.comps.items()} for f in self.forms], chart
         )
+        self._dz = [
+            DifferentialForm(chart, 1, {(i,): c for i, c in row.items()})
+            for row in self.inverse
+        ]
 
     def express(self, form: DifferentialForm):
         """Components of a form in the coframe basis.
@@ -307,13 +324,9 @@ class Coframe:
             raise ChartMismatch("form lives on a different chart")
         if form.degree == 0:
             return dict(form.comps)
-        dz = [
-            DifferentialForm(self.chart, 1, {(i,): c for i, c in row.items()})
-            for row in self.inverse
-        ]
         out = DifferentialForm.zero(self.chart, form.degree)
         for idx, c in form.comps.items():
-            out = out + wedge(*(dz[j] for j in idx)) * c
+            out = out + wedge(*(self._dz[j] for j in idx)) * c
         return dict(sorted(out.comps.items()))
 
     def dual_frame(self):

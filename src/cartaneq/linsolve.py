@@ -16,9 +16,10 @@ from .expr import Expression
 def _pick_pivot(rows, col, start):
     """Row index of the cheapest nonzero entry in a column, or None.
 
-    Cheapest means smallest canonical size (term count of numerator plus
-    denominator); ties go to the earliest row, which keeps the reduction
-    deterministic.
+    A constant entry is always cheapest, since dividing by it creates no
+    denominator; among constants, and among non-constants, the smaller
+    canonical size (term count of numerator plus denominator) wins, and
+    ties go to the earliest row, which keeps the reduction deterministic.
     """
     best = None
     best_cost = None
@@ -26,7 +27,7 @@ def _pick_pivot(rows, col, start):
         e = rows[r].get(col)
         if e is None:
             continue
-        cost = (e.size, r)
+        cost = (not e.is_const, e.size, r)
         if best_cost is None or cost < best_cost:
             best, best_cost = r, cost
     return best

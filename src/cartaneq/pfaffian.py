@@ -17,6 +17,7 @@ the omega block coincides with the theta block.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, combinations_with_replacement
 
 from .chart import Chart
@@ -192,8 +193,12 @@ def absorb_torsion(eqs: StructureEquations) -> AbsorptionSolution:
     """Solve T[a,j,k] = A[a,r,j] lam[r,k] - A[a,r,k] lam[r,j] for lam.
 
     Unknowns are ordered lexicographically by (rho, i).  Row reduction
-    picks the cheapest pivot (fewest terms) per column, so the reported
-    particular solution and essential torsion are deterministic.
+    takes a constant pivot where the column has one, else the entry with
+    fewest terms, ties to the earliest row, so the report is
+    deterministic.  A consistent system has a unique reduced form, hence
+    a pivot-independent report; when torsion is left over, the particular
+    solution and the essential torsion are representatives that depend on
+    the pivots.
     """
     chart = eqs.chart
     n, r = eqs.n, eqs.r
@@ -282,16 +287,68 @@ def _fresh_param_names(chart: Chart, count: int, stem: str):
     return [f"{base}{i}" for i in range(1, count + 1)]
 
 
+# integer flags drawn before the symbolic fallback; see cartan_characters
+_FLAG_TRIES = 3
+_FLAG_SPAN = 9
+
+# times cartan_characters fell back to the symbolic flag
+flag_fallbacks = 0
+
+
+def _stacked_ranks(a, A, flag, chart):
+    """sigma_k, the rank of A(v_1), ..., A(v_k) stacked, for k = 1..n.
+
+    ``flag[k][i]`` is the i-th component of v_k.
+    """
+    sigma = []
+    stacked = []
+    for v in flag:
+        # rows of A(v): one per alpha, columns rho
+        rows = [{} for _ in range(a)]
+        for (alpha, rho, i), entry in A.items():
+            term = entry * v[i]
+            prev = rows[alpha].get(rho)
+            rows[alpha][rho] = term if prev is None else prev + term
+        stacked.extend(rows)
+        sigma.append(linsolve.rank(stacked, chart))
+    return sigma
+
+
+def _symbolic_sigma(eqs: StructureEquations):
+    """sigma_k at a generic flag, realized as n^2 fresh parameters."""
+    chart, n = eqs.chart, eqs.n
+    flag_names = _fresh_param_names(chart, n * n, "t")
+    big = chart.extend_params(flag_names)
+    flag = [
+        [Expression.var(big, flag_names[k * n + i]) for i in range(n)]
+        for k in range(n)
+    ]
+    A_big = {key: e.rebase(big) for key, e in eqs.A.items()}
+    return _stacked_ranks(eqs.a, A_big, flag, big)
+
+
 def cartan_characters(eqs: StructureEquations) -> InvolutionReport:
     """Reduced Cartan characters and the involutivity test.
 
-    The k-th character uses k generic flag vectors, realized as fresh
-    parameters, so the ranks are ranks at a generic flag.  The dimension
-    of the prolonged tableau is counted from the freedom in the absorption
-    equations: solutions of the homogeneous equations produce elements of
-    the prolongation, but shifting lam by anything valued in the kernel of
-    w -> A(w) changes nothing, so that freedom is discounted.
+    The dimension of the prolonged tableau is counted from the freedom in
+    the absorption equations: solutions of the homogeneous equations
+    produce elements of the prolongation, but shifting lam by anything
+    valued in the kernel of w -> A(w) changes nothing, so that freedom is
+    discounted.
+
+    The characters come from the ranks sigma_k at a flag.  An integer flag
+    V, drawn from a generator seeded with the tableau, is accepted by
+    Cartan's test: sigma_k(V) is at most its generic value, and sigma_n(V)
+    is generic exactly when it equals the rank of A on all of theta, so
+    bound(V) = n sigma_n - sum_{k<n} sigma_k(V) is at least the generic
+    bound, which Cartan's inequality puts at or above dim_prolongation.
+    Equality bound(V) == dim_prolongation therefore proves every
+    sigma_k(V) generic and the system involutive.  When no draw reaches
+    it (the system is not involutive, or the draws were unlucky), the
+    ranks are taken at a flag of fresh parameters instead, counted in
+    ``flag_fallbacks``.
     """
+    global flag_fallbacks
     chart = eqs.chart
     a, n, r = eqs.a, eqs.n, eqs.r
 
@@ -300,30 +357,6 @@ def cartan_characters(eqs: StructureEquations) -> InvolutionReport:
         s = [0] * n
         return InvolutionReport(s, sigma, 0, 0, 0, 0)
 
-    flag_names = _fresh_param_names(chart, n * n, "t")
-    big = chart.extend_params(flag_names)
-
-    def flag(k, i):
-        return Expression.var(big, flag_names[k * n + i])
-
-    A_big = {key: e.rebase(big) for key, e in eqs.A.items()}
-
-    def tableau_rows(k):
-        # rows of A(v_k): one per alpha, columns rho
-        rows = [{} for _ in range(a)]
-        for (alpha, rho, i), entry in A_big.items():
-            term = entry * flag(k, i)
-            prev = rows[alpha].get(rho)
-            rows[alpha][rho] = term if prev is None else prev + term
-        return rows
-
-    sigma = []
-    stacked = []
-    for k in range(n):
-        stacked.extend(tableau_rows(k))
-        sigma.append(linsolve.rank(stacked, big))
-    s = [sigma[0]] + [sigma[k] - sigma[k - 1] for k in range(1, n)]
-
     # freedom in the homogeneous absorption equations
     free_lambda = len(absorb_torsion(eqs).free)
 
@@ -331,12 +364,30 @@ def cartan_characters(eqs: StructureEquations) -> InvolutionReport:
     ker_rows = [{} for _ in range(a * n)]
     for (alpha, rho, i), entry in eqs.A.items():
         ker_rows[alpha * n + i][rho] = entry
-    kernel_dim = r - linsolve.rank(ker_rows, chart)
-
+    full_rank = linsolve.rank(ker_rows, chart)
+    kernel_dim = r - full_rank
     dim_prolongation = free_lambda - n * kernel_dim
-    bound = sum((k + 1) * s[k] for k in range(n))
+
+    def bound(sigma):
+        # sum of (k + 1) s_k over the characters s_k = sigma_k - sigma_{k-1}
+        return n * sigma[-1] - sum(sigma[:-1])
+
+    rng = random.Random(hash(tuple(sorted(eqs.A.items()))))
+    for _ in range(_FLAG_TRIES):
+        flag = [
+            [rng.randint(-_FLAG_SPAN, _FLAG_SPAN) for _ in range(n)]
+            for _ in range(n)
+        ]
+        sigma = _stacked_ranks(a, eqs.A, flag, chart)
+        if sigma[-1] == full_rank and bound(sigma) == dim_prolongation:
+            break
+    else:
+        flag_fallbacks += 1
+        sigma = _symbolic_sigma(eqs)
+
+    s = [sigma[0]] + [sigma[k] - sigma[k - 1] for k in range(1, n)]
     return InvolutionReport(s, sigma, free_lambda, kernel_dim,
-                            dim_prolongation, bound)
+                            dim_prolongation, bound(sigma))
 
 
 # ----------------------------------------------------------------------

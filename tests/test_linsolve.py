@@ -6,6 +6,7 @@ import pytest
 
 from cartaneq import Chart, Expression, SingularCoframe
 from cartaneq.linsolve import invert, rank, rref
+from cartaneq.pfaffian import contact_system
 
 from conftest import seeded
 
@@ -114,3 +115,30 @@ def test_invert_singular_raises():
     rows = [{0: C(1), 1: C(2)}, {0: C(2), 1: C(4)}]
     with pytest.raises(SingularCoframe):
         invert(rows, CH)
+
+
+def test_contact_coframe_inverts_by_constant_pivots(monkeypatch):
+    # each omega row holds a constant 1 and the monomials -u_i in its
+    # column; taking the constant as pivot keeps every row a polynomial
+    divisors = []
+    real = Expression.__truediv__
+
+    def spy(self, other):
+        divisors.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Expression, "__truediv__", spy)
+    coframe = contact_system(3, 5, 1).coframe
+    monkeypatch.undo()
+    assert all(d.is_const for d in divisors), divisors
+
+    chart = coframe.chart
+    rows = [{k: c for (k,), c in f.comps.items()} for f in coframe.forms]
+    zero = Expression.const(chart, 0)
+    for i, row in enumerate(rows):
+        for j in range(chart.dim):
+            s = sum(
+                (c * coframe.inverse[k].get(j, zero) for k, c in row.items()),
+                zero,
+            )
+            assert s == (1 if i == j else 0)

@@ -1,5 +1,8 @@
 """Linear Pfaffian systems: structure split, absorption, involutivity."""
 
+from itertools import combinations
+from types import SimpleNamespace
+
 import pytest
 
 from cartaneq import (
@@ -10,8 +13,10 @@ from cartaneq import (
     NonEmptyEssentialTorsion,
     NotLinear,
 )
+from cartaneq import linsolve, pfaffian
 from cartaneq.pfaffian import (
     PfaffianSystem,
+    StructureEquations,
     absorb_torsion,
     cartan_characters,
     coframe_structure_equations,
@@ -21,7 +26,7 @@ from cartaneq.pfaffian import (
     structure_equations,
 )
 
-from conftest import seeded
+from conftest import run_fresh, seeded
 from oracles import (
     brute_force_sigma,
     check_absorption_against_brute_force,
@@ -231,7 +236,160 @@ def test_noninvolutive_pair_system():
     eqs = structure_equations(PfaffianSystem(ch, omega, theta, pi))
     sol = absorb_torsion(eqs)
     assert sol.essential == []
+    # no integer flag can certify a system that is not involutive, so
+    # the symbolic flag decides, once
+    before = pfaffian.flag_fallbacks
     inv = cartan_characters(eqs)
-    assert inv.characters == (1, 0)
+    assert pfaffian.flag_fallbacks == before + 1
+    assert inv.characters == (1, 0) and inv.sigma == (1, 1)
+    assert inv.free_lambda == 0 and inv.kernel_dim == 0
     assert inv.dim_prolongation == 0 and inv.bound == 1
     assert not inv.involutive
+
+
+def _report(inv):
+    return (inv.characters, inv.sigma, inv.free_lambda, inv.kernel_dim,
+            inv.dim_prolongation, inv.bound, inv.involutive)
+
+
+class _AllOnes:
+    """Stands in for random.Random: every flag it draws is all ones."""
+
+    def __init__(self, seed):
+        pass
+
+    def randint(self, lo, hi):
+        return 1
+
+
+def test_singular_flag_is_refused(monkeypatch):
+    # A(1, 1, 1) vanishes, so the flag of equal vectors gives sigma = 0,
+    # 0, 0 and a bound of 0 equal to dim_prolongation; only the test of
+    # sigma_n against the rank of A refuses it
+    ch = Chart(coords=("z",))
+    one = Expression.const(ch, 1)
+    A = {(0, 0, 0): one, (0, 0, 1): -2 * one, (0, 0, 2): one,
+         (1, 0, 0): one, (1, 0, 2): -one}
+    eqs = StructureEquations(ch, 2, 3, 1, A, {}, [], [])
+    want = _report(cartan_characters(eqs))
+    assert want == ((1, 0, 0), (1, 1, 1), 0, 0, 0, 1, False)
+    monkeypatch.setattr(pfaffian, "random", SimpleNamespace(Random=_AllOnes))
+    before = pfaffian.flag_fallbacks
+    assert _report(cartan_characters(eqs)) == want
+    assert pfaffian.flag_fallbacks == before + 1
+
+
+# the (n, m, q) of the contact-pfaffian benchmark workload
+CONTACT = [
+    (3, 1, 1), (1, 4, 1), (2, 1, 2), (2, 2, 1), (1, 3, 2), (1, 1, 6),
+    (2, 3, 1), (4, 1, 1), (1, 2, 3), (1, 5, 1), (3, 2, 1), (2, 1, 3),
+    (1, 2, 4), (1, 6, 1), (1, 3, 3), (2, 4, 1), (1, 4, 2), (2, 2, 2),
+    (3, 1, 2), (3, 3, 1), (1, 2, 5), (2, 5, 1), (4, 2, 1),
+    (3, 4, 1), (1, 2, 6), (2, 1, 4), (1, 3, 4), (1, 4, 3), (4, 3, 1),
+    (1, 6, 2), (2, 6, 1),
+    (3, 5, 1),
+]
+
+
+def test_certified_characters_match_the_symbolic_flag(monkeypatch):
+    systems = {nmq: structure_equations(contact_system(*nmq))
+               for nmq in CONTACT}
+    before = pfaffian.flag_fallbacks
+    certified = {nmq: _report(cartan_characters(eqs))
+                 for nmq, eqs in systems.items()}
+    assert pfaffian.flag_fallbacks == before
+    # with no integer draws, every call takes the counted fallback
+    monkeypatch.setattr(pfaffian, "_FLAG_TRIES", 0)
+    for nmq, eqs in systems.items():
+        assert _report(cartan_characters(eqs)) == certified[nmq], nmq
+    assert pfaffian.flag_fallbacks == before + len(CONTACT)
+    assert all(rep[-1] for rep in certified.values())
+
+
+_LARGE_CONTACT = """
+import sys
+from cartaneq import pfaffian
+n = int(sys.argv[1])
+inv = pfaffian.cartan_characters(
+    pfaffian.structure_equations(pfaffian.contact_system(n, 1, 2)))
+print(inv.characters, inv.involutive, pfaffian.flag_fallbacks)
+"""
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_large_contact_characters_are_certified(n):
+    # J^2(R^n, R): dimensions 26 and 34; the symbolic flag took 23 s on
+    # the first
+    out = run_fresh(_LARGE_CONTACT, str(n), timeout=4)
+    want = tuple(range(n, 0, -1))
+    assert out.split("\n")[0] == f"{want} True 0"
+
+
+def _poly_structure(rng, a, n, r):
+    """Random structure equations whose entries are polynomials in x, y."""
+    ch = Chart(coords=("x", "y"))
+    x, y = Expression.var(ch, "x"), Expression.var(ch, "y")
+
+    def entry():
+        e = Expression.const(ch, 0)
+        for _ in range(rng.randint(1, 2)):
+            e = e + rng.randint(-3, 3) * x ** rng.randint(0, 2) \
+                * y ** rng.randint(0, 1)
+        return e
+
+    A, T = {}, {}
+    for alpha in range(a):
+        for rho in range(r):
+            for i in range(n):
+                e = entry()
+                if rng.random() < 0.6 and not e.is_zero:
+                    A[(alpha, rho, i)] = e
+        for j, k in combinations(range(n), 2):
+            e = entry()
+            if not e.is_zero:
+                T[(alpha, j, k)] = e
+    return StructureEquations(ch, a, n, r, A, T, [], [])
+
+
+def _torsion_left(eqs, lam, with_torsion=True):
+    """T - (A[a,r,j] lam[r,k] - A[a,r,k] lam[r,j]) per (alpha, j < k)."""
+    zero = Expression.const(eqs.chart, 0)
+    out = []
+    for alpha in range(eqs.a):
+        for j, k in combinations(range(eqs.n), 2):
+            v = eqs.T.get((alpha, j, k), zero) if with_torsion else zero
+            for rho in range(eqs.r):
+                v = v - eqs.tableau_entry(alpha, rho, j) * lam.get((rho, k), zero)
+                v = v + eqs.tableau_entry(alpha, rho, k) * lam.get((rho, j), zero)
+            out.append(v)
+    return out
+
+
+def test_absorption_on_polynomial_entries():
+    rng = seeded(606)
+    kinds = set()
+    for _ in range(40):
+        eqs = _poly_structure(
+            rng, rng.randint(1, 3), rng.randint(2, 3), rng.randint(1, 3))
+        n, ncols = eqs.n, eqs.n * eqs.r
+        rows, aug = [], []
+        for alpha in range(eqs.a):
+            for j, k in combinations(range(n), 2):
+                row = {}
+                for rho in range(eqs.r):
+                    row[rho * n + k] = eqs.tableau_entry(alpha, rho, j)
+                    row[rho * n + j] = -eqs.tableau_entry(alpha, rho, k)
+                rows.append(row)
+                aug.append({**row, ncols: eqs.torsion_entry(alpha, j, k)})
+        rank_m = linsolve.rank(rows, eqs.chart)
+        solvable = rank_m == linsolve.rank(aug, eqs.chart)
+        kinds.add(solvable)
+
+        sol = absorb_torsion(eqs)
+        assert (sol.essential == []) == solvable
+        assert len(sol.free) == ncols - rank_m
+        left = _torsion_left(eqs, sol.particular)
+        assert all(v.is_zero for v in left) == solvable
+        for h in sol.homogeneous.values():
+            assert all(v.is_zero for v in _torsion_left(eqs, h, False))
+    assert kinds == {True, False}
