@@ -237,69 +237,17 @@ class Expression:
     def map_vars(self, mapping, chart: Chart) -> "Expression":
         """Image under an assignment {key: Expression on ``chart``}.
 
-        ``mapping`` must give an image for every variable present.  Each
-        term is mapped on its own and the images are summed over ``chart``.
+        ``mapping`` must give an image for every variable present.
         """
-
-        def image(p: Polynomial) -> Expression:
-            total = Expression.const(chart, 0)
-            for m, c in p.terms:
-                term = Expression.const(chart, c)
-                for k, e in m:
-                    term = term * mapping[k] ** e
-                total = total + term
-            return total
-
-        return image(self.num) / image(self.den)
+        return VariableMap(chart, mapping.__getitem__)(self)
 
     def substitute(self, fname: str, value: "Expression") -> "Expression":
         """Replace an opaque function symbol by a concrete expression.
 
-        The value may only involve the function's declared arguments (and
-        opaque symbols depending on a subset of them); anything else would
-        contradict the partials already taken, so it raises ArgumentEscape.
+        One call of a ``Substitution``; build that once to substitute the
+        same value into many expressions.
         """
-        fkey = self.chart.key_of(fname)
-        if fkey[0] != KIND_DERIV:
-            raise UnknownName(f"{fname!r} is not an opaque function")
-        fidx = fkey[1]
-        fn = self.chart.functions[fidx]
-        if value.chart != self.chart:
-            raise ChartMismatch("substitution value lives on a different chart")
-        allowed = {self.chart.key_of(a) for a in fn.args}
-        for w in value.variables():
-            if w[0] == KIND_COORD:
-                if w not in allowed:
-                    raise ArgumentEscape(
-                        f"{self.chart.var_name(w)!r} is not an argument of {fname!r}"
-                    )
-            elif w[0] == KIND_PARAM:
-                raise ArgumentEscape(
-                    f"group parameter {self.chart.var_name(w)!r} cannot enter {fname!r}"
-                )
-            else:
-                inner = self.chart.functions[w[1]]
-                if not set(inner.args) <= set(fn.args):
-                    raise ArgumentEscape(
-                        f"{inner.name!r} depends on more than the arguments of {fname!r}"
-                    )
-
-        deriv_cache = {(): value}
-
-        def deriv_along(index):
-            got = deriv_cache.get(index)
-            if got is None:
-                prev = deriv_along(index[:-1])
-                ckey = self.chart.key_of(fn.args[index[-1]])
-                got = deriv_cache[index] = prev.partial(ckey)
-            return got
-
-        mapping = {
-            k: deriv_along(k[3]) if k[0] == KIND_DERIV and k[1] == fidx
-            else Expression.from_key(self.chart, k)
-            for k in self.variables()
-        }
-        return self.map_vars(mapping, self.chart)
+        return Substitution(self.chart, fname, value)(self)
 
     def subs_coords(self, mapping, target: Chart | None = None) -> "Expression":
         """Composition with a coordinate map name -> Expression.
@@ -379,6 +327,103 @@ class Expression:
             if kind == KIND_DERIV and k[1] >= len(chart.functions):
                 raise ChartMismatch(f"{self.chart.var_name(k)!r} missing from target")
         return Expression(chart, self.num, self.den)
+
+
+class VariableMap:
+    """The image of expressions under an assignment of every variable.
+
+    ``image_of_key`` gives the image of one variable key, an Expression on
+    ``chart``.  The image of a monomial is that of its prefix times one
+    power, kept for every monomial mapped, so expressions sharing
+    monomials share the work.  The term images of a polynomial are summed
+    in one dict per denominator.
+    """
+
+    def __init__(self, chart: Chart, image_of_key):
+        self.chart = chart
+        self._image_of_key = image_of_key
+        self._monomials = {(): Expression.const(chart, 1)}
+
+    def _monomial(self, m) -> Expression:
+        got = self._monomials.get(m)
+        if got is None:
+            k, e = m[-1]
+            got = self._monomial(m[:-1]) * self._image_of_key(k) ** e
+            self._monomials[m] = got
+        return got
+
+    def _poly(self, p: Polynomial) -> Expression:
+        groups = {}
+        for m, c in p.terms:
+            t = self._monomial(m)
+            acc = groups.setdefault(t.den, {})
+            for mm, cc in t.num.terms:
+                acc[mm] = acc.get(mm, 0) + c * cc
+        total = Expression.const(self.chart, 0)
+        for den, acc in groups.items():
+            total = total + Expression.make(
+                self.chart, Polynomial.from_dict(acc), den)
+        return total
+
+    def __call__(self, e: Expression) -> Expression:
+        return self._poly(e.num) / self._poly(e.den)
+
+
+class Substitution(VariableMap):
+    """Replace one opaque function symbol by a concrete expression.
+
+    The value may only involve the function's declared arguments (and
+    opaque symbols depending on a subset of them); anything else would
+    contradict the partials already taken, so it raises ArgumentEscape.
+    Each partial of the value is taken once, when first needed.
+    """
+
+    def __init__(self, chart: Chart, fname: str, value: Expression):
+        fkey = chart.key_of(fname)
+        if fkey[0] != KIND_DERIV:
+            raise UnknownName(f"{fname!r} is not an opaque function")
+        fidx = fkey[1]
+        fn = chart.functions[fidx]
+        if value.chart != chart:
+            raise ChartMismatch("substitution value lives on a different chart")
+        allowed = {chart.key_of(a) for a in fn.args}
+        for w in value.variables():
+            if w[0] == KIND_COORD:
+                if w not in allowed:
+                    raise ArgumentEscape(
+                        f"{chart.var_name(w)!r} is not an argument of {fname!r}"
+                    )
+            elif w[0] == KIND_PARAM:
+                raise ArgumentEscape(
+                    f"group parameter {chart.var_name(w)!r} cannot enter {fname!r}"
+                )
+            else:
+                inner = chart.functions[w[1]]
+                if not set(inner.args) <= set(fn.args):
+                    raise ArgumentEscape(
+                        f"{inner.name!r} depends on more than the arguments of {fname!r}"
+                    )
+
+        derivs = {(): value}
+
+        def deriv_along(index):
+            got = derivs.get(index)
+            if got is None:
+                prev = deriv_along(index[:-1])
+                got = derivs[index] = prev.partial(chart.key_of(fn.args[index[-1]]))
+            return got
+
+        def image(k):
+            if k[0] == KIND_DERIV and k[1] == fidx:
+                return deriv_along(k[3])
+            return Expression.from_key(chart, k)
+
+        super().__init__(chart, image)
+
+    def __call__(self, e: Expression) -> Expression:
+        if e.chart != self.chart:
+            raise ChartMismatch("expression lives on a different chart")
+        return super().__call__(e)
 
 
 class TotalDerivation:

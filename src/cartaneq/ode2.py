@@ -21,7 +21,7 @@ from .errors import (
     NotInClass,
     VanishingJacobian,
 )
-from .expr import Expression
+from .expr import Expression, Substitution
 from .forms import Coframe, DifferentialForm, VectorField
 from .pfaffian import (
     StructureEquations,
@@ -160,8 +160,7 @@ def run_equivalence_ode2(f: Expression | None = None) -> EquivalenceReport:
     ch = rep.chart
     fc = _coerce_rhs(f, ch)
 
-    def se(e: Expression) -> Expression:
-        return e.substitute("f", fc)
+    se = Substitution(ch, "f", fc)
 
     def sform(form: DifferentialForm) -> DifferentialForm:
         return DifferentialForm(
@@ -336,9 +335,10 @@ def check_flat_ode2(f: Expression) -> FlatnessReport:
     half = Expression.const(f.chart, Fraction(1, 2))
     p = Expression.var(f.chart, "p")
     fp = f.partial("p")
-    r1 = fp.partial("p").partial("p")
+    fpp = fp.partial("p")
+    r1 = fpp.partial("p")
     r2 = (
-        fp.partial("x") + f * fp.partial("p") - 2 * f.partial("y")
+        fp.partial("x") + f * fpp - 2 * f.partial("y")
         - half * fp ** 2 + p * fp.partial("y")
     )
     return FlatnessReport("ode2", [r1, r2])

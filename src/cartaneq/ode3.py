@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .chart import Chart
 from .errors import ChartMismatch, DomainError, VanishingJacobian
-from .expr import Expression, TotalDerivation
+from .expr import Expression, Substitution, TotalDerivation
 
 
 def ode3_chart() -> Chart:
@@ -93,8 +93,11 @@ def contact_prolongation_ode3(xi: Expression | None = None,
         if e.chart != ch:
             raise ChartMismatch(f"{name} must live on the (x, y, p, q) chart")
 
+    sub_xi = Substitution(ch, "xi", xi)
+    sub_eta = Substitution(ch, "eta", eta)
+
     def subst(e: Expression) -> Expression:
-        return e.substitute("xi", xi).substitute("eta", eta)
+        return sub_eta(sub_xi(e))
 
     # the denominators are powers of D(xi); reject singular transformations
     D = _total_derivation(ch)

@@ -32,7 +32,8 @@ class StructureEquations:
 
     ``A`` maps (alpha, rho, i) to the pi^rho ^ theta^i coefficient of
     d omega^alpha and ``T`` maps (alpha, j, k), j < k, to the torsion
-    coefficient; absent keys are zero.
+    coefficient; absent keys are zero.  The object is read-only: its
+    absorption is solved once and kept.
     """
 
     def __init__(self, chart, a, n, r, A, T, theta_forms, pi_forms):
@@ -44,6 +45,7 @@ class StructureEquations:
         self.T = T
         self.theta_forms = list(theta_forms)
         self.pi_forms = list(pi_forms)
+        self._absorption = None
 
     def tableau_entry(self, alpha: int, rho: int, i: int) -> Expression:
         got = self.A.get((alpha, rho, i))
@@ -61,7 +63,11 @@ class StructureEquations:
 
 
 class PfaffianSystem:
-    """A coframe split into system, independence and fiber blocks."""
+    """A coframe split into system, independence and fiber blocks.
+
+    The blocks are read-only: the structure equations are computed once
+    and kept.
+    """
 
     def __init__(self, chart: Chart, omega, theta, pi):
         self.chart = chart
@@ -75,6 +81,7 @@ class PfaffianSystem:
             )
         # validates full rank as a side effect
         self.coframe = Coframe(chart, self.omega + self.theta + self.pi)
+        self._structure = None
 
     def structure_equations(self) -> StructureEquations:
         return structure_equations(self)
@@ -117,9 +124,11 @@ def _structure_equations(coframe, omega, theta, pi) -> StructureEquations:
 
 def structure_equations(system: PfaffianSystem) -> StructureEquations:
     """Tableau and torsion of d(omega) modulo the system ideal."""
-    return _structure_equations(
-        system.coframe, system.omega, system.theta, system.pi
-    )
+    if system._structure is None:
+        system._structure = _structure_equations(
+            system.coframe, system.omega, system.theta, system.pi
+        )
+    return system._structure
 
 
 def coframe_structure_equations(chart, theta_forms, pi_forms=()):
@@ -190,6 +199,13 @@ class AbsorptionSolution:
 
 
 def absorb_torsion(eqs: StructureEquations) -> AbsorptionSolution:
+    """The absorption of ``eqs``, solved on the first call and kept."""
+    if eqs._absorption is None:
+        eqs._absorption = _solve_absorption(eqs)
+    return eqs._absorption
+
+
+def _solve_absorption(eqs: StructureEquations) -> AbsorptionSolution:
     """Solve T[a,j,k] = A[a,r,j] lam[r,k] - A[a,r,k] lam[r,j] for lam.
 
     Unknowns are ordered lexicographically by (rho, i).  Row reduction

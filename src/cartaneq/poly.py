@@ -6,6 +6,10 @@ re-sorts and drops zero coefficients, equal polynomials are identical
 objects term for term, which is what makes the canonical form of the
 rational layer bit-for-bit reproducible.
 
+A product of two polynomials of two or more terms packs each monomial
+into one int for that product alone (``_packed_mul``); a one-term
+operand shifts the other's terms (``mul_term``).
+
 ``cofactors(a, b)`` returns the gcd over the integers with the quotients
 a/g and b/g.  It is computed in stages, and every stage but the last
 hands back the quotients it already holds:
@@ -106,6 +110,56 @@ def _mgcd(m1, m2):
         else:
             j += 1
     return tuple(out)
+
+
+def _packed_mul(ta, tb) -> "Polynomial":
+    """Product of two term tuples, each monomial packed into one int.
+
+    The packing is made for this product alone (Monagan and Pearce, ISSAC
+    2009): the total degree goes in the top field, then one field per
+    variable in ascending key order, each w bits wide with 2^w above the
+    total degree of the product.  No field of a product can carry, so
+    monomials multiply by integer addition, and descending int order is
+    the graded lex order of the terms.
+    """
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    keys = sorted({k for t in (ta, tb) for m, _ in t for k, _ in m})
+    w = (sum(e for _, e in ta[0][0]) + sum(e for _, e in tb[0][0])).bit_length()
+    top = len(keys) * w
+    fields = [(k, top - (i + 1) * w) for i, k in enumerate(keys)]
+    shift = dict(fields)
+
+    def pack(terms):
+        out = []
+        for m, c in terms:
+            v = tot = 0
+            for k, e in m:
+                v += e << shift[k]
+                tot += e
+            out.append((v + (tot << top), c))
+        return out
+
+    pb = pack(tb)
+    d = {}
+    get = d.get
+    for a, ca in pack(ta):
+        for b, cb in pb:
+            k = a + b
+            d[k] = get(k, 0) + ca * cb
+
+    mask = (1 << w) - 1
+    out = []
+    for k in sorted(d, reverse=True):
+        c = d[k]
+        if c:
+            m = []
+            for key, s in fields:
+                e = k >> s & mask
+                if e:
+                    m.append((key, e))
+            out.append((tuple(m), c))
+    return Polynomial(tuple(out))
 
 
 class Polynomial:
@@ -218,20 +272,11 @@ class Polynomial:
     def __mul__(self, other):
         if not self.terms or not other.terms:
             return _ZERO
-        if self.is_const:
-            return other.scale(self.terms[0][1])
-        if other.is_const:
-            return self.scale(other.terms[0][1])
-        d = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = _mmul(m1, m2)
-                nc = d.get(m, 0) + c1 * c2
-                if nc:
-                    d[m] = nc
-                else:
-                    del d[m]
-        return Polynomial.from_dict(d)
+        if len(self.terms) == 1:
+            return other.mul_term(*self.terms[0])
+        if len(other.terms) == 1:
+            return self.mul_term(*other.terms[0])
+        return _packed_mul(self.terms, other.terms)
 
     def scale(self, c: int) -> "Polynomial":
         if c == 0:

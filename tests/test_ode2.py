@@ -197,6 +197,30 @@ def test_flat_residual_is_twice_the_first_invariant():
         assert flat.residuals[1] == 2 * i1
 
 
+def _recorded_partials(monkeypatch):
+    """Every (expression, key) differentiated from now on, in call order."""
+    calls = []
+    raw = Expression.partial
+
+    def partial(self, key):
+        calls.append((self, key))
+        return raw(self, key)
+
+    monkeypatch.setattr(Expression, "partial", partial)
+    return calls
+
+
+def test_each_partial_of_the_rhs_is_taken_once(monkeypatch):
+    run_equivalence_ode2()  # the symbolic report is built once and cached
+    f = E("(x*y + p^2)/(y + 1) + p^4")
+    calls = _recorded_partials(monkeypatch)
+    run_equivalence_ode2(f)
+    assert len(calls) >= 3 and len(set(calls)) == len(calls)
+    calls.clear()
+    check_flat_ode2(f)
+    assert len(set(calls)) == len(calls)
+
+
 def test_painleve_examples():
     eta, C = painleve_map(E("6*y^2 + x"))
     assert eta == E("y") and C == 0

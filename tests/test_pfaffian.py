@@ -201,6 +201,29 @@ def test_prolonged_contact_system_is_the_next_jet():
     assert ia.characters == it.characters and ia.involutive
 
 
+def test_contact_op_solves_its_structure_and_absorption_once(monkeypatch):
+    counts = {"structure": 0, "absorption": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(pfaffian, "_structure_equations",
+                        counted("structure", pfaffian._structure_equations))
+    monkeypatch.setattr(pfaffian, "_solve_absorption",
+                        counted("absorption", pfaffian._solve_absorption))
+    system = contact_system(2, 1, 2)
+    eqs = structure_equations(system)
+    sol = absorb_torsion(eqs)
+    chars = cartan_characters(eqs)
+    prolong(system)
+    assert counts == {"structure": 1, "absorption": 1}
+    assert structure_equations(system) is eqs and absorb_torsion(eqs) is sol
+    assert chars.involutive and sol.absorbed
+
+
 def test_prolong_without_free_lambda_keeps_the_chart():
     ch = Chart(coords=("x", "u"))
     sys1 = PfaffianSystem(ch, [_basis(ch, "u")], [_basis(ch, "x")], [])

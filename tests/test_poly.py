@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 from cartaneq.poly import Polynomial, exact_div, gcd, one, zero
 
 X = (0, 0)
@@ -131,3 +134,74 @@ def test_gcd_strips_monomial_content():
     a = x ** 3 * y
     b = x * y ** 2
     assert gcd(a, b) == x * y
+
+
+# ----------------------------------------------------------------------
+# the packed product against a term-by-term reference and SymPy
+
+# ten keys of all three kinds; derivative keys are (2, k, len(I), I)
+MUL_KEYS = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0, 0, ()),
+            (2, 0, 1, (0,)), (2, 0, 2, (0, 2)), (2, 1, 1, (1,)),
+            (2, 1, 3, (0, 0, 1))]
+# exponents next to field widths: a field of w bits holds 2^w - 1, not 2^w
+mul_exps = st.one_of(st.integers(1, 4),
+                     st.sampled_from([7, 8, 15, 16, 31, 32, 63, 64]))
+monomials = st.dictionaries(
+    st.sampled_from(MUL_KEYS), mul_exps, max_size=4
+).map(lambda d: tuple(sorted(d.items())))
+mul_coeffs = st.one_of(st.integers(-9, 9), st.integers(-10 ** 20, 10 ** 20))
+mul_polys = st.one_of(
+    st.dictionaries(monomials, mul_coeffs, max_size=7).map(P),
+    mul_coeffs.map(Polynomial.const),
+)
+
+
+def reference_mul(a, b):
+    """Every pair of terms multiplied on its own, then summed."""
+    d = {}
+    for m1, c1 in a.terms:
+        for m2, c2 in b.terms:
+            exps = dict(m1)
+            for k, e in m2:
+                exps[k] = exps.get(k, 0) + e
+            m = tuple(sorted(exps.items()))
+            d[m] = d.get(m, 0) + c1 * c2
+    return P(d)
+
+
+def to_sympy(p, sp):
+    gens = sp.symbols(f"v0:{len(MUL_KEYS)}")
+    at = dict(zip(MUL_KEYS, gens))
+    return sp.Add(*(c * sp.Mul(*(at[k] ** e for k, e in m))
+                    for m, c in p.terms))
+
+
+X64 = P({((X, 64),): 1})
+Y15 = P({((Y, 15),): 1})
+ONE = one()
+
+
+@given(mul_polys, mul_polys)
+@example(Polynomial.const(-3), P({((X, 1),): 2, ((Y, 2),): 1}))
+@example(P({((Y, 3),): 5}), P({((X, 1),): 2, ((Y, 2),): 1}))
+# degree 15 + 16 = 31 = 2^5 - 1 fills five-bit fields; 16 + 16 needs six
+@example(Y15 + P({((X, 1),): 1}), P({((Y, 16),): 1}) + ONE)
+@example(P({((X, 16),): 1}) + ONE, P({((Y, 16),): 1}) - ONE)
+@example(X64 + Y15, X64 - Y15)
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_term_by_term_reference(a, b):
+    ab = a * b
+    assert ab == reference_mul(a, b)
+    assert ab == b * a
+    # a conjugate pair cancels its cross terms
+    assert (a + b) * (a - b) == reference_mul(a + b, a - b) == a * a - b * b
+    assert a * (b - b) == zero()
+
+
+@given(mul_polys, mul_polys)
+@example(X64 + Y15, X64 - Y15)
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_sympy(a, b):
+    sp = pytest.importorskip("sympy")
+    got = to_sympy(a * b, sp)
+    assert sp.expand(got - to_sympy(a, sp) * to_sympy(b, sp)) == 0

@@ -35,6 +35,9 @@ CASES = {
     "painleve-a": ("painleve", ("(y+2*x^2)/(3*x*y+1)", "0")),
     "painleve-b": ("painleve", ("(2*y^2+3*x+1)/(y+2*x+4)", "3/2")),
     "ode3": ("ode3", ("x-6*x*p", "y+3*y*p+p^2")),
+    # a dense power: products of big operands and one substitution of f
+    "flat-dense": ("check_flat", ("(x+y+p+1)^18",)),
+    "equiv-dense": ("equivalence", ("(x+y+p+1)^18",)),
 }
 
 # sha256 of each case's rendered output lines (the timing line excluded)
@@ -53,6 +56,10 @@ RATIONAL_SHA256 = {
         "194eaacd3ab7e6fb9f39a3d792566d8f1019418a016b8075a14b77abcf7f470d",
     "ode3":
         "2ac0bd39919295275eeddd9dbb7a91934c25a515d381c861340c44e07f616044",
+    "flat-dense":
+        "f7dc6bc625a2d6738654b714f89589303c5e4a8a45268ca425e25ccb5f9b4f82",
+    "equiv-dense":
+        "2b6c9604fee9969ba77f55248769e34b897f0fae51b92d453617322b5b559609",
 }
 
 CHILD = """
@@ -102,11 +109,54 @@ POINTS = [
 ]
 
 
+TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]\w*|\S)")
+
+
 def value_at(text, point):
-    """Exact value of rendered output at a point, in Fraction arithmetic."""
-    text = re.sub(r"\^(\d+)", r"**\1", text)
-    text = re.sub(r"(?<![\w*])(\d+)\b", r"Fraction(\1)", text)
-    return eval(text, {"Fraction": Fraction, **point})
+    """Exact value of rendered output at a point, in Fraction arithmetic.
+
+    Sums and products are read in loops, so a sum of thousands of terms
+    needs no deep recursion.
+    """
+    tokens = TOKEN.findall(text) + [None]
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def atom():
+        tok = take()
+        if tok == "-":
+            return -atom()
+        if tok == "(":
+            v = expr()
+            assert take() == ")"
+        elif tok.isdigit():
+            v = Fraction(int(tok))
+        else:
+            v = point[tok]
+        if tokens[pos] == "^":
+            take()
+            v = v ** int(take())
+        return v
+
+    def term():
+        v = atom()
+        while tokens[pos] in ("*", "/"):
+            v = v * atom() if take() == "*" else v / atom()
+        return v
+
+    def expr():
+        v = term()
+        while tokens[pos] in ("+", "-"):
+            v = v + term() if take() == "+" else v - term()
+        return v
+
+    v = expr()
+    assert tokens[pos] is None, text
+    return v
 
 
 def closed_forms(kind, args):
