@@ -333,22 +333,27 @@ class VariableMap:
     """The image of expressions under an assignment of every variable.
 
     ``image_of_key`` gives the image of one variable key, an Expression on
-    ``chart``.  The image of a monomial is that of its prefix times one
-    power, kept for every monomial mapped, so expressions sharing
-    monomials share the work.  The term images of a polynomial are summed
-    in one dict per denominator.
+    ``chart``.  The image of a monomial is that of its prefix times the
+    image of one power; both are kept for every monomial and power mapped,
+    so expressions sharing monomials or powers share the work.  The term
+    images of a polynomial are summed in one dict per denominator.
     """
 
     def __init__(self, chart: Chart, image_of_key):
         self.chart = chart
         self._image_of_key = image_of_key
         self._monomials = {(): Expression.const(chart, 1)}
+        self._powers = {}
 
     def _monomial(self, m) -> Expression:
         got = self._monomials.get(m)
         if got is None:
-            k, e = m[-1]
-            got = self._monomial(m[:-1]) * self._image_of_key(k) ** e
+            power = self._powers.get(m[-1])
+            if power is None:
+                k, e = m[-1]
+                power = self._image_of_key(k) ** e
+                self._powers[m[-1]] = power
+            got = self._monomial(m[:-1]) * power
             self._monomials[m] = got
         return got
 

@@ -1,14 +1,22 @@
 """Sparse multivariate polynomials with integer coefficients.
 
 Terms are kept sorted in graded lexicographic order, highest first, with
-earlier chart variables more significant.  Because construction always
-re-sorts and drops zero coefficients, equal polynomials are identical
-objects term for term, which is what makes the canonical form of the
-rational layer bit-for-bit reproducible.
+earlier chart variables more significant, and never hold a zero
+coefficient, so equal polynomials are identical objects term for term,
+which is what makes the canonical form of the rational layer bit-for-bit
+reproducible.
 
-A product of two polynomials of two or more terms packs each monomial
-into one int for that product alone (``_packed_mul``); a one-term
-operand shifts the other's terms (``mul_term``).
+The one order key is a monomial packed into one int (``_shifts``,
+``_pack``): the total degree in the top field, then one field per
+variable in ascending key order, so descending ints are descending graded
+lex.  The fields are laid out afresh for each sort, product or division,
+just wide enough for the exponents it can meet.  Only work that can
+upset the order sorts: a sum whose shorter operand brings no new monomial
+keeps the longer operand's order, a derivative keeps its input's order
+(dividing every surviving term by one variable keeps them in order), and
+a product with a one-term operand shifts the other's terms
+(``mul_term``).  Other products add packed ints (``_packed_mul``); a
+square runs over the upper triangle of its term pairs.
 
 ``cofactors(a, b)`` returns the gcd over the integers with the quotients
 a/g and b/g.  It is computed in stages, and every stage but the last
@@ -41,11 +49,6 @@ from .errors import DivisionByZero
 
 # A monomial is a tuple of (var_key, exponent) pairs, sorted ascending by
 # key, exponents strictly positive.  () is the constant monomial.
-
-
-def _mkey(m):
-    # sort key: ascending order of _mkey = descending graded lex
-    return (-sum(e for _, e in m), tuple((k, -e) for k, e in m))
 
 
 def _mmul(m1, m2):
@@ -112,43 +115,65 @@ def _mgcd(m1, m2):
     return tuple(out)
 
 
+def _shifts(keys, w):
+    """Bit offset of each variable's w-bit field, earlier keys higher, and
+    the offset of the total-degree field above them all."""
+    shift = {}
+    s = top = len(keys) * w
+    for k in sorted(keys):
+        s -= w
+        shift[k] = s
+    return shift, top
+
+
+def _pack(m, shift, top):
+    """Monomial as one int; its exponents must fit their fields."""
+    v = tot = 0
+    for k, e in m:
+        v += e << shift[k]
+        tot += e
+    return v + (tot << top)
+
+
+def _degree(terms):
+    """Total degree of the leading term, hence of the whole polynomial."""
+    return sum(e for _, e in terms[0][0])
+
+
 def _packed_mul(ta, tb) -> "Polynomial":
     """Product of two term tuples, each monomial packed into one int.
 
     The packing is made for this product alone (Monagan and Pearce, ISSAC
-    2009): the total degree goes in the top field, then one field per
-    variable in ascending key order, each w bits wide with 2^w above the
-    total degree of the product.  No field of a product can carry, so
-    monomials multiply by integer addition, and descending int order is
-    the graded lex order of the terms.
+    2009), each field w bits wide with 2^w above the total degree of the
+    product.  No field of a product can carry, so monomials multiply by
+    integer addition.  A square (``ta is tb``) adds each square term once
+    and each cross term of the upper triangle twice.
     """
     if len(ta) > len(tb):
         ta, tb = tb, ta
-    keys = sorted({k for t in (ta, tb) for m, _ in t for k, _ in m})
-    w = (sum(e for _, e in ta[0][0]) + sum(e for _, e in tb[0][0])).bit_length()
-    top = len(keys) * w
-    fields = [(k, top - (i + 1) * w) for i, k in enumerate(keys)]
-    shift = dict(fields)
-
-    def pack(terms):
-        out = []
-        for m, c in terms:
-            v = tot = 0
-            for k, e in m:
-                v += e << shift[k]
-                tot += e
-            out.append((v + (tot << top), c))
-        return out
-
-    pb = pack(tb)
+    keys = {k for t in (ta, tb) for m, _ in t for k, _ in m}
+    w = (_degree(ta) + _degree(tb)).bit_length()
+    shift, top = _shifts(keys, w)
+    pb = [(_pack(m, shift, top), c) for m, c in tb]
     d = {}
     get = d.get
-    for a, ca in pack(ta):
-        for b, cb in pb:
-            k = a + b
-            d[k] = get(k, 0) + ca * cb
+    if ta is tb:
+        for i, (a, ca) in enumerate(pb):
+            k = a + a
+            d[k] = get(k, 0) + ca * ca
+            ca += ca
+            for b, cb in pb[i + 1:]:
+                k = a + b
+                d[k] = get(k, 0) + ca * cb
+    else:
+        for m, ca in ta:
+            a = _pack(m, shift, top)
+            for b, cb in pb:
+                k = a + b
+                d[k] = get(k, 0) + ca * cb
 
     mask = (1 << w) - 1
+    fields = list(shift.items())
     out = []
     for k in sorted(d, reverse=True):
         c = d[k]
@@ -178,9 +203,32 @@ class Polynomial:
 
     @staticmethod
     def from_dict(d) -> "Polynomial":
-        items = [(m, c) for m, c in d.items() if c]
-        items.sort(key=lambda t: _mkey(t[0]))
-        return Polynomial(tuple(items))
+        """Polynomial of {monomial: coefficient}; zero coefficients drop.
+
+        The terms are sorted by packed keys whose fields hold the largest
+        exponent present.
+        """
+        if len(d) < 2:
+            return Polynomial(tuple([(m, c) for m, c in d.items() if c]))
+        keys = set()
+        bits = 0
+        for m in d:
+            for k, e in m:
+                keys.add(k)
+                bits |= e
+        shift, top = _shifts(keys, bits.bit_length())
+        # _pack inlined, which is most of the cost on two or three terms;
+        # packed keys are distinct, so no two terms are ever compared
+        keyed = []
+        for t in d.items():
+            if t[1]:
+                v = tot = 0
+                for k, e in t[0]:
+                    v += e << shift[k]
+                    tot += e
+                keyed.append((v + (tot << top), t))
+        keyed.sort(reverse=True)
+        return Polynomial(tuple([t for _, t in keyed]))
 
     @staticmethod
     def const(c: int) -> "Polynomial":
@@ -248,26 +296,30 @@ class Polynomial:
             return other
         if not other.terms:
             return self
-        d = dict(self.terms)
-        for m, c in other.terms:
-            nc = d.get(m, 0) + c
-            if nc:
-                d[m] = nc
-            elif m in d:
-                del d[m]
-        return Polynomial.from_dict(d)
+        long, short = self.terms, other.terms
+        if len(long) < len(short):
+            long, short = short, long
+        # a dict keeps insertion order: updates and deletions leave the
+        # longer operand's terms in order, only a new monomial upsets it
+        d = dict(long)
+        new = False
+        for m, c in short:
+            got = d.get(m)
+            if got is None:
+                d[m] = c
+                new = True
+            else:
+                c += got
+                if c:
+                    d[m] = c
+                else:
+                    del d[m]
+        if new:
+            return Polynomial.from_dict(d)
+        return Polynomial(tuple(d.items()))
 
     def __sub__(self, other):
-        if not other.terms:
-            return self
-        d = dict(self.terms)
-        for m, c in other.terms:
-            nc = d.get(m, 0) - c
-            if nc:
-                d[m] = nc
-            elif m in d:
-                del d[m]
-        return Polynomial.from_dict(d)
+        return self + (-other)
 
     def __mul__(self, other):
         if not self.terms or not other.terms:
@@ -302,9 +354,8 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n > 1
             n >>= 1
-            if base_needed and n:
+            if n:
                 base = base * base
         return result
 
@@ -362,8 +413,12 @@ class Polynomial:
     # calculus and evaluation
 
     def derivative(self, key) -> "Polynomial":
-        """Formal partial derivative with respect to one variable key."""
-        d = {}
+        """Formal partial derivative with respect to one variable key.
+
+        Graded lex is a monomial order, so dividing every surviving term
+        by ``key`` keeps the terms distinct and in order; no sort needed.
+        """
+        out = []
         for m, c in self.terms:
             for i, (k, e) in enumerate(m):
                 if k == key:
@@ -371,9 +426,9 @@ class Polynomial:
                         nm = m[:i] + m[i + 1:]
                     else:
                         nm = m[:i] + ((k, e - 1),) + m[i + 1:]
-                    d[nm] = d.get(nm, 0) + c * e
+                    out.append((nm, c * e))
                     break
-        return Polynomial.from_dict(d)
+        return Polynomial(tuple(out))
 
     def evaluate(self, vals) -> Fraction:
         """Value at a point; ``vals`` must cover every variable present."""
@@ -420,29 +475,36 @@ def exact_div(a: Polynomial, b: Polynomial):
         return Polynomial(tuple(out))
 
     # The remainder is a's terms, read in order, plus the products of the
-    # quotient with b's tail, kept in a dict and a heap of their sort
-    # keys; each step takes the remainder's leading term.  Those products
-    # all lie below the current leading term, so a monomial once taken
-    # never comes back, and a heap entry whose monomial was merged with a
-    # term of a is stale.
-    bm, bc = b.terms[0]
-    tail = b.terms[1:]
+    # quotient with b's tail, kept in a dict and a heap of their negated
+    # packed keys; each step takes the remainder's leading term.  Those
+    # products all lie below the current leading term, so a monomial once
+    # taken never comes back, and a heap entry whose monomial was merged
+    # with a term of a is stale.  Every remainder monomial is below
+    # lead(a), so fields as wide as the degree of a hold its exponents,
+    # and a product's key is the sum of its factors' keys.
     terms = a.terms
+    deg = _degree(terms)
+    if _degree(b.terms) > deg:
+        return None
+    bm, bc = b.terms[0]
+    shift, top = _shifts(a.variables() | b.variables(), deg.bit_length())
+    akeys = [_pack(m, shift, top) for m, _ in terms]
+    bkey = _pack(bm, shift, top)
+    tail = [(m, c, _pack(m, shift, top)) for m, c in b.terms[1:]]
     n = len(terms)
     i = 0
-    akey = _mkey(terms[0][0])
     pending = {}
     heap = []
     quot = []
     while i < n or heap:
-        if i < n and (not heap or akey <= heap[0][0]):
+        if i < n and (not heap or akeys[i] >= -heap[0][0]):
+            lkey = akeys[i]
             lm, lc = terms[i]
             i += 1
-            if i < n:
-                akey = _mkey(terms[i][0])
             lc += pending.pop(lm, 0)
         else:
-            lm = heappop(heap)[1]
+            lkey, lm = heappop(heap)
+            lkey = -lkey
             lc = pending.pop(lm, None)
             if lc is None:
                 continue
@@ -455,13 +517,14 @@ def exact_div(a: Polynomial, b: Polynomial):
         if r:
             return None
         quot.append((qm, qc))
-        for m, c in tail:
+        qkey = lkey - bkey
+        for m, c, mkey in tail:
             pm = _mmul(qm, m)
             if pm in pending:
                 pending[pm] -= qc * c
             else:
                 pending[pm] = -qc * c
-                heappush(heap, (_mkey(pm), pm))
+                heappush(heap, (-qkey - mkey, pm))
     # leading terms came out in descending order, so quot is sorted
     return Polynomial(tuple(quot))
 

@@ -221,6 +221,24 @@ def test_each_partial_of_the_rhs_is_taken_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def test_each_power_of_an_image_is_computed_once(monkeypatch):
+    run_equivalence_ode2()
+    f = E("(x + y + p + 3)^6")
+    calls = []
+    raw = Expression.__pow__
+
+    def power(self, n):
+        calls.append((self, n))
+        return raw(self, n)
+
+    # one Substitution maps the 31 components of the report
+    monkeypatch.setattr(Expression, "__pow__", power)
+    run_equivalence_ode2(f)
+    # by identity: f_x, f_y and f_p are equal here but are different images;
+    # ``calls`` keeps every base alive, so no id is reused
+    assert calls and len({(id(b), n) for b, n in calls}) == len(calls)
+
+
 def test_painleve_examples():
     eta, C = painleve_map(E("6*y^2 + x"))
     assert eta == E("y") and C == 0

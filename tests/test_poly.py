@@ -205,3 +205,120 @@ def test_mul_matches_sympy(a, b):
     sp = pytest.importorskip("sympy")
     got = to_sympy(a * b, sp)
     assert sp.expand(got - to_sympy(a, sp) * to_sympy(b, sp)) == 0
+
+
+# ----------------------------------------------------------------------
+# term order of every result, against an order key written out on its own
+
+
+def grlex_reference(m):
+    """Graded lex written out directly: ascending keys are descending
+    terms, the total degree first, then earlier variables first."""
+    return (-sum(e for _, e in m), tuple((k, -e) for k, e in m))
+
+
+def assert_canonical(p):
+    for m, c in p.terms:
+        assert c != 0
+        assert [k for k, _ in m] == sorted({k for k, _ in m})
+        assert all(e > 0 for _, e in m)
+    keys = [grlex_reference(m) for m, _ in p.terms]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+
+
+def dict_sum(a, b, sign):
+    d = dict(a.terms)
+    for m, c in b.terms:
+        d[m] = d.get(m, 0) + sign * c
+    return {m: c for m, c in d.items() if c}
+
+
+def dict_derivative(p, key):
+    d = {}
+    for m, c in p.terms:
+        exps = dict(m)
+        e = exps.pop(key, 0)
+        if e:
+            if e > 1:
+                exps[key] = e - 1
+            d[tuple(sorted(exps.items()))] = c * e
+    return d
+
+
+SUBSET = P({((X, 8),): 1, ((X, 1), (Y, 7)): -4, (): 3})
+WIDE = P({((X, 7), (Y, 8)): 2, ((Y, 15),): -1, ((X, 16),): 5,
+          ((Y, 63), (Z, 1)): 1, ((Z, 64),): -7})
+
+
+@given(mul_polys, mul_polys, st.sampled_from(MUL_KEYS), st.integers(0, 3))
+# full cancellation, in + and in -
+@example(WIDE, -WIDE, X, 2)
+@example(SUBSET, SUBSET, Y, 1)
+# disjoint supports
+@example(X64 + Y15, P({((Z, 7),): 3, ((X, 8), (Z, 1)): -1}), Z, 2)
+# the shorter operand's support inside the longer one's
+@example(SUBSET, P({((X, 1), (Y, 7)): 4, (): -1}), X, 3)
+@example(WIDE, P({((Y, 63), (Z, 1)): 3, ((X, 16),): -5}), Z, 2)
+# one-term and constant operands
+@example(P({((Y, 3),): 5}), Polynomial.const(-3), Y, 3)
+@example(Polynomial.const(7), P({((X, 15), (Y, 16)): 1}), X, 1)
+# a * b of degree 30 packs exact_div's remainder in five-bit fields, and
+# four-bit fields would put y^22 z^8 above y^15 z^15
+@example(P({((Y, 15),): 1, ((Z, 8),): 1}), P({((Y, 7),): 1, ((Z, 15),): 1}),
+         Z, 2)
+@settings(max_examples=200, deadline=None)
+def test_every_result_is_in_grlex_order(a, b, key, n):
+    results = {
+        "+": (a + b, dict_sum(a, b, 1)),
+        "-": (a - b, dict_sum(a, b, -1)),
+        "derivative": (a.derivative(key), dict_derivative(a, key)),
+        "*": (a * b, dict(reference_mul(a, b).terms)),
+        "p * p": (a * a, dict(reference_mul(a, a).terms)),
+    }
+    power = one()
+    for _ in range(n):
+        power = reference_mul(power, a)
+    results["p ** n"] = (a ** n, dict(power.terms))
+    shuffled = dict(reversed(a.terms + b.terms))
+    shuffled[((Z, 9),)] = 0
+    results["from_dict"] = (P(shuffled),
+                            {m: c for m, c in shuffled.items() if c})
+    if not b.is_zero:
+        results["exact_div"] = (exact_div(a * b, b), dict(a.terms))
+    for name, (got, expect) in results.items():
+        assert_canonical(got)
+        assert dict(got.terms) == expect, name
+    if not b.is_zero:
+        q = exact_div(a, b)
+        if q is not None:
+            assert_canonical(q)
+            assert q * b == a
+
+
+def _counted_from_dict(monkeypatch):
+    """Sizes of the dicts passed to Polynomial.from_dict from now on."""
+    calls = []
+    raw = Polynomial.from_dict
+
+    def from_dict(d):
+        calls.append(len(d))
+        return raw(d)
+
+    monkeypatch.setattr(Polynomial, "from_dict", staticmethod(from_dict))
+    return calls
+
+
+def test_derivatives_and_sums_within_a_support_do_not_sort(monkeypatch):
+    inside = P({((X, 1), (Y, 7)): 4, (): -3})
+    z = P({((Z, 1),): 1})
+    calls = _counted_from_dict(monkeypatch)
+    for v in (X, Y, Z):
+        assert_canonical(SUBSET.derivative(v))
+        assert_canonical(WIDE.derivative(v))
+    for got in (SUBSET + inside, inside + SUBSET, SUBSET - inside,
+                inside - SUBSET, WIDE - WIDE):
+        assert_canonical(got)
+    assert calls == []
+    # a monomial new to the longer operand sorts the sum once
+    assert_canonical(SUBSET + z)
+    assert calls == [4]
