@@ -17,7 +17,7 @@ from .errors import (
     UnknownName,
     VanishingJacobian,
 )
-from .expr import Expression, TotalDerivation
+from .expr import Expression
 from .forms import Coframe, DifferentialForm, VectorField, wedge
 from .ode2 import (
     check_flat_ode2,
@@ -54,7 +54,6 @@ __all__ = [
     "Chart",
     "OpaqueFunction",
     "Expression",
-    "TotalDerivation",
     "DifferentialForm",
     "VectorField",
     "Coframe",

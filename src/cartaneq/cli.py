@@ -30,7 +30,7 @@ from .ode2 import (
     syzygies_ode2,
 )
 from .ode3 import contact_prolongation_ode3
-from .parser import parse_expression, render_latex, render_text
+from .parser import _name_latex, parse_expression, render_latex, render_text
 from .systems import (
     check_flat_ode_system,
     check_flat_pde_system,
@@ -40,7 +40,8 @@ from .systems import (
 
 
 def _renderer(fmt):
-    return render_latex if fmt == "latex" else render_text
+    """Printers of expressions and of bare symbol names for output lines."""
+    return (render_latex, _name_latex) if fmt == "latex" else (render_text, str)
 
 
 def _parse_flag(parser, text, chart, flag):
@@ -66,7 +67,7 @@ def _cmd_check_flat(parser, args, fmt):
             _parse_flag(parser, args.f12, ch, "--f12"),
             _parse_flag(parser, args.f22, ch, "--f22"),
         )
-    render = _renderer(fmt)
+    render, _ = _renderer(fmt)
     payload = {
         "problem": rep.problem,
         "flat": rep.flat,
@@ -80,45 +81,18 @@ def _cmd_check_flat(parser, args, fmt):
 def _cmd_invariants(parser, args, fmt):
     f = None if args.f is None else parse_expression(args.f, ode2_chart())
     rep = run_equivalence_ode2(f)
-    render = _renderer(fmt)
+    render, spell = _renderer(fmt)
+    names = ("I1", "I2", "I3")
     payload = {
         "problem": "ode2",
         "invariants": {
-            f"I{m}": render_text(v)
-            for m, v in zip((1, 2, 3), rep.invariants)
+            name: render_text(v) for name, v in zip(names, rep.invariants)
         },
     }
-    if fmt == "latex":
-        lines = [
-            f"I_{{{m}}} = {render(v)}"
-            for m, v in zip((1, 2, 3), rep.invariants)
-        ]
-    else:
-        lines = [
-            f"I{m} = {render(v)}" for m, v in zip((1, 2, 3), rep.invariants)
-        ]
+    lines = [
+        f"{spell(name)} = {render(v)}" for name, v in zip(names, rep.invariants)
+    ]
     return payload, lines
-
-
-def _structure_latex(rep):
-    lines = []
-    for alpha in range(4):
-        pieces = [
-            (j, k, c)
-            for (a, j, k), c in sorted(rep.structure.T.items())
-            if a == alpha and not c.is_zero
-        ]
-        lhs = f"d\\theta^{{{alpha + 1}}}"
-        if not pieces:
-            lines.append(f"{lhs} = 0")
-            continue
-        body = " + ".join(
-            f"\\left({render_latex(c)}\\right)"
-            f"\\theta^{{{j + 1}}}\\wedge\\theta^{{{k + 1}}}"
-            for j, k, c in pieces
-        )
-        lines.append(f"{lhs} = {body}")
-    return lines
 
 
 def _cmd_structure(parser, args, fmt):
@@ -129,16 +103,19 @@ def _cmd_structure(parser, args, fmt):
         "structure": rep.structure_lines(render_text),
     }
     if fmt == "latex":
-        lines = _structure_latex(rep)
+        lines = rep.structure_lines(
+            render_latex, "d\\theta^{{{}}}",
+            "\\left({}\\right)\\theta^{{{}}}\\wedge\\theta^{{{}}}",
+        )
     else:
-        lines = rep.structure_lines(render_text)
+        lines = payload["structure"]
     return payload, lines
 
 
 def _cmd_syzygies(parser, args, fmt):
     f = None if args.f is None else parse_expression(args.f, ode2_chart())
     rep = syzygies_ode2(f)
-    render = _renderer(fmt)
+    render, _ = _renderer(fmt)
     payload = {
         "problem": "ode2",
         "syzygies": [render_text(r) for r in rep.relations],
@@ -149,7 +126,7 @@ def _cmd_syzygies(parser, args, fmt):
 
 def _cmd_painleve(parser, args, fmt):
     f = _parse_flag(parser, args.f, ode2_chart(), "--f")
-    render = _renderer(fmt)
+    render, _ = _renderer(fmt)
     try:
         eta, C = painleve_map(f)
     except NotInClass as e:
@@ -186,7 +163,7 @@ def _cmd_pullback(parser, args, fmt):
     C = _parse_flag(parser, args.C, ch, "--C")
     fbar = _parse_flag(parser, args.target, ch, "--target")
     f = pullback_ode2(eta, C, fbar)
-    render = _renderer(fmt)
+    render, _ = _renderer(fmt)
     payload = {"problem": "ode2", "f": render_text(f)}
     return payload, [f"f = {render(f)}"]
 

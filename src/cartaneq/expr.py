@@ -329,6 +329,16 @@ class Expression:
         return Expression(chart, self.num, self.den)
 
 
+def require_chart(e, chart: Chart, name: str) -> Expression:
+    """``e`` itself, once checked to be an Expression on ``chart``."""
+    if not isinstance(e, Expression):
+        raise TypeError(f"{name} must be an Expression")
+    if e.chart != chart:
+        coords = ", ".join(chart.coords)
+        raise ChartMismatch(f"{name} must live on the ({coords}) chart")
+    return e
+
+
 class VariableMap:
     """The image of expressions under an assignment of every variable.
 
@@ -430,29 +440,3 @@ class Substitution(VariableMap):
             raise ChartMismatch("expression lives on a different chart")
         return super().__call__(e)
 
-
-class TotalDerivation:
-    """A derivation D = sum(coeff_v * d/dv) over the basis directions."""
-
-    def __init__(self, chart: Chart, coeffs):
-        self.chart = chart
-        self.coeffs = {}
-        for name, c in coeffs.items():
-            key = chart.key_of(name)
-            if key[0] not in (KIND_COORD, KIND_PARAM):
-                raise UnknownName(f"{name!r} is not a basis direction")
-            if not isinstance(c, Expression):
-                c = Expression.const(chart, c)
-            elif c.chart != chart:
-                raise ChartMismatch("coefficient lives on a different chart")
-            self.coeffs[key] = c
-
-    def __call__(self, e: Expression) -> Expression:
-        if e.chart != self.chart:
-            raise ChartMismatch("expression lives on a different chart")
-        out = Expression.const(self.chart, 0)
-        for key, c in self.coeffs.items():
-            if c.is_zero:
-                continue
-            out = out + c * e.partial(key)
-        return out

@@ -10,7 +10,7 @@ lets d see through opaque function symbols.
 from __future__ import annotations
 
 from .chart import KIND_DERIV, Chart
-from .errors import ChartMismatch, SingularCoframe
+from .errors import ChartMismatch, SingularCoframe, UnknownName
 from .expr import Expression
 from . import linsolve
 
@@ -238,7 +238,12 @@ def wedge(*forms):
 
 
 class VectorField:
-    """A derivation written against the coordinate frame."""
+    """A derivation D = sum(c_v d/dv) over the basis directions.
+
+    ``comps`` maps a basis direction, by name or by basis index, to its
+    coefficient; the frame fields of a coframe and the total derivatives
+    along an equation are both of this kind.
+    """
 
     __slots__ = ("chart", "comps")
 
@@ -248,8 +253,12 @@ class VectorField:
         for idx, c in comps.items():
             if isinstance(idx, str):
                 idx = chart.basis_index(chart.key_of(idx))
+            elif idx not in range(chart.dim):
+                raise UnknownName(f"{idx!r} is not a basis index")
             if not isinstance(c, Expression):
                 c = Expression.const(chart, c)
+            elif c.chart != chart:
+                raise ChartMismatch("coefficient lives on a different chart")
             if not c.is_zero:
                 clean[idx] = c
         self.comps = clean

@@ -21,14 +21,14 @@ from .errors import (
     NotInClass,
     VanishingJacobian,
 )
-from .expr import Expression, Substitution
+from .expr import Expression, Substitution, require_chart
 from .forms import Coframe, DifferentialForm, VectorField
 from .pfaffian import (
     StructureEquations,
-    _normalize_sign,
     absorb_torsion,
     cartan_characters,
     coframe_structure_equations,
+    distinct_up_to_sign,
 )
 
 
@@ -73,22 +73,22 @@ class EquivalenceReport:
     def invariants(self):
         return (self.I1, self.I2, self.I3)
 
-    def structure_lines(self, render):
-        """The four structure equations as text via a renderer callback."""
+    def structure_lines(self, render, lhs="d(theta{})",
+                        term="({})*theta{}^theta{}"):
+        """The four structure equations, one line each.
+
+        ``render`` prints a coefficient; ``lhs`` spells d theta^a from a,
+        and ``term`` a coefficient times theta^j ^ theta^k from the
+        printed coefficient, j and k, all numbered from 1.
+        """
+        torsion = sorted(self.structure.T.items())
         out = []
         for alpha in range(4):
-            pieces = []
-            for (a, j, k), c in sorted(self.structure.T.items()):
-                if a != alpha or c.is_zero:
-                    continue
-                pieces.append((j, k, c))
-            if not pieces:
-                out.append(f"d(theta{alpha + 1}) = 0")
-                continue
             body = " + ".join(
-                f"({render(c)})*theta{j + 1}^theta{k + 1}" for j, k, c in pieces
+                term.format(render(c), j + 1, k + 1)
+                for (a, j, k), c in torsion if a == alpha and not c.is_zero
             )
-            out.append(f"d(theta{alpha + 1}) = {body}")
+            out.append(f"{lhs.format(alpha + 1)} = {body or 0}")
         return out
 
 
@@ -179,16 +179,7 @@ def run_equivalence_ode2(f: Expression | None = None) -> EquivalenceReport:
         theta,
         [sform(t) for t in rep.structure.pi_forms],
     )
-    essential = []
-    seen = set()
-    for e in rep.essential:
-        v = se(e)
-        if v.is_zero:
-            continue
-        v = _normalize_sign(v)
-        if v not in seen:
-            seen.add(v)
-            essential.append(v)
+    essential = distinct_up_to_sign(se(e) for e in rep.essential)
     return EquivalenceReport(
         ch, fc, theta, frame, tuple(se(i) for i in rep.invariants),
         structure, essential, rep.absorption, rep.involution,
@@ -242,15 +233,12 @@ def syzygies_ode2(f: Expression | None = None) -> SyzygyReport:
         raise DomainError("structure coefficient is not spanned by the invariants")
 
     # lifted structure 2-forms S^a = sum c[a,j,k] dq_j ^ dq_k
+    torsion = [(a, j, k, lift(c))
+               for (a, j, k), c in sorted(rep.structure.T.items())]
     dq = [DifferentialForm.basis(ach, f"q{i}") for i in (1, 2, 3, 4)]
-    S = []
-    for alpha in range(4):
-        s = DifferentialForm.zero(ach, 2)
-        for (a, j, k), c in sorted(rep.structure.T.items()):
-            if a != alpha:
-                continue
-            s = s + lift(c) * dq[j].wedge(dq[k])
-        S.append(s)
+    S = [DifferentialForm.zero(ach, 2) for _ in range(4)]
+    for a, j, k, lc in torsion:
+        S[a] = S[a] + lc * dq[j].wedge(dq[k])
 
     def dscalar(e: Expression) -> DifferentialForm:
         # invariants vary only through their coframe derivatives
@@ -263,28 +251,14 @@ def syzygies_ode2(f: Expression | None = None) -> SyzygyReport:
                 out = out + de * avar[f"X{i}I{m}"] * dq[i - 1]
         return out
 
-    relations = []
-    seen = set()
-    for alpha in range(4):
-        total = DifferentialForm.zero(ach, 3)
-        for (j, k), c in sorted(
-            (
-                ((jk[1], jk[2]), cc)
-                for jk, cc in rep.structure.T.items()
-                if jk[0] == alpha
-            ),
-            key=lambda item: item[0],
-        ):
-            lc = lift(c)
-            block = dq[j].wedge(dq[k])
-            total = total + dscalar(lc).wedge(block)
-            total = total + lc * (S[j].wedge(dq[k]) - dq[j].wedge(S[k]))
-        for idx in sorted(total.comps):
-            r = _normalize_sign(total.comps[idx])
-            if r not in seen:
-                seen.add(r)
-                relations.append(r)
-    return SyzygyReport(ach, relations)
+    # d(d theta^a), whose components are the relations
+    dd = [DifferentialForm.zero(ach, 3) for _ in range(4)]
+    for a, j, k, lc in torsion:
+        dd[a] = (dd[a] + dscalar(lc).wedge(dq[j].wedge(dq[k]))
+                 + lc * (S[j].wedge(dq[k]) - dq[j].wedge(S[k])))
+    return SyzygyReport(ach, distinct_up_to_sign(
+        form.comps[idx] for form in dd for idx in sorted(form.comps)
+    ))
 
 
 def realize_syzygy(rel: Expression, rep: EquivalenceReport) -> Expression:
@@ -399,10 +373,7 @@ def pullback_ode2(eta: Expression, C: Expression,
     """
     ch = ode2_chart()
     for name, e in (("eta", eta), ("C", C), ("fbar", fbar)):
-        if not isinstance(e, Expression):
-            raise TypeError(f"{name} must be an Expression")
-        if e.chart != ch:
-            raise ChartMismatch(f"{name} must live on the (x, y, p) chart")
+        require_chart(e, ch, name)
     pkey = ch.key_of("p")
     if pkey in eta.variables():
         raise DomainError("eta may only depend on x and y")

@@ -15,8 +15,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .chart import Chart
-from .errors import ChartMismatch, DomainError, VanishingJacobian
-from .expr import Expression, Substitution, TotalDerivation
+from .errors import DomainError, VanishingJacobian
+from .expr import Expression, Substitution, require_chart
+from .forms import VectorField
 
 
 def ode3_chart() -> Chart:
@@ -44,9 +45,9 @@ class ProlongationResult:
         return (len(self.pbar.num), len(self.qbar.num), len(self.rbar.num))
 
 
-def _total_derivation(ch: Chart) -> TotalDerivation:
+def _total_derivation(ch: Chart) -> VectorField:
     """D = d/dx + p d/dy + q d/dp + f d/dq along solutions of y''' = f."""
-    return TotalDerivation(ch, {
+    return VectorField(ch, {
         "x": 1,
         "y": Expression.var(ch, "p"),
         "p": Expression.var(ch, "q"),
@@ -87,11 +88,8 @@ def contact_prolongation_ode3(xi: Expression | None = None,
     if xi is None or eta is None:
         raise DomainError("give both xi and eta, or neither")
     ch = ode3_chart()
-    for name, e in (("xi", xi), ("eta", eta)):
-        if not isinstance(e, Expression):
-            raise TypeError(f"{name} must be an Expression")
-        if e.chart != ch:
-            raise ChartMismatch(f"{name} must live on the (x, y, p, q) chart")
+    xi = require_chart(xi, ch, "xi")
+    eta = require_chart(eta, ch, "eta")
 
     sub_xi = Substitution(ch, "xi", xi)
     sub_eta = Substitution(ch, "eta", eta)

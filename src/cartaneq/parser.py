@@ -153,30 +153,39 @@ def parse_expression(text: str, chart: Chart) -> Expression:
 
 
 # ----------------------------------------------------------------------
-# text rendering
-
-def _term_text(chart: Chart, mono, coeff: int) -> str:
-    parts = []
-    if not mono:
-        return str(abs(coeff))
-    if abs(coeff) != 1:
-        parts.append(str(abs(coeff)))
-    for key, e in mono:
-        name = chart.var_name(key)
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+# rendering
 
 
-def _poly_text(chart: Chart, p) -> str:
+def _name_latex(name: str) -> str:
+    head, sep, tail = name.partition("_")
+    if sep:
+        return f"{head}_{{{tail}}}"
+    if len(name) > 1 and name[-1].isdigit() and not name[0].isdigit():
+        # a3 prints as a_3 and dx1 as dx_1
+        base = name.rstrip("0123456789")
+        return f"{base}_{{{name[len(base):]}}}"
+    return name
+
+
+# how a style spells a variable name, a power of it, and a product
+_TEXT = (str, "{}^{}", "*")
+_LATEX = (_name_latex, "{}^{{{}}}", " ")
+
+
+def _poly_str(chart: Chart, p, style) -> str:
+    """The terms of p in order, signs between them, in one style."""
     if p.is_zero:
         return "0"
+    spell, power, times = style
     out = []
-    for i, (mono, coeff) in enumerate(p.terms):
-        body = _term_text(chart, mono, coeff)
-        if i == 0:
-            out.append("-" + body if coeff < 0 else body)
-        else:
-            out.append(" - " + body if coeff < 0 else " + " + body)
+    for mono, coeff in p.terms:
+        parts = [str(abs(coeff))] if abs(coeff) != 1 or not mono else []
+        for key, e in mono:
+            name = spell(chart.var_name(key))
+            parts.append(name if e == 1 else power.format(name, e))
+        out.append((" - " if coeff < 0 else " + ") + times.join(parts))
+    head = out[0]
+    out[0] = "-" + head[3:] if head[1] == "-" else head[3:]
     return "".join(out)
 
 
@@ -193,65 +202,19 @@ def _is_simple_factor(p) -> bool:
 def render_text(e: Expression) -> str:
     chart = e.chart
     num, den = e.num, e.den
+    num_s = _poly_str(chart, num, _TEXT)
     if den.is_const and den.const_value() == 1:
-        return _poly_text(chart, num)
-    num_s = (
-        _poly_text(chart, num)
-        if len(num) == 1
-        else "(" + _poly_text(chart, num) + ")"
-    )
-    den_s = (
-        _poly_text(chart, den)
-        if _is_simple_factor(den)
-        else "(" + _poly_text(chart, den) + ")"
-    )
+        return num_s
+    den_s = _poly_str(chart, den, _TEXT)
+    if len(num) != 1:
+        num_s = f"({num_s})"
+    if not _is_simple_factor(den):
+        den_s = f"({den_s})"
     return f"{num_s}/{den_s}"
 
 
-# ----------------------------------------------------------------------
-# LaTeX rendering
-
-def _name_latex(name: str) -> str:
-    head, sep, tail = name.partition("_")
-    if sep:
-        return f"{head}_{{{tail}}}"
-    if len(name) > 1 and name[-1].isdigit() and not name[0].isdigit():
-        # a3 prints as a_3 and dx1 as dx_1
-        base = name.rstrip("0123456789")
-        return f"{base}_{{{name[len(base):]}}}"
-    return name
-
-
-def _term_latex(chart: Chart, mono, coeff: int) -> str:
-    parts = []
-    if not mono:
-        return str(abs(coeff))
-    if abs(coeff) != 1:
-        parts.append(str(abs(coeff)))
-    for key, e in mono:
-        name = _name_latex(chart.var_name(key))
-        parts.append(name if e == 1 else f"{name}^{{{e}}}")
-    return " ".join(parts)
-
-
-def _poly_latex(chart: Chart, p) -> str:
-    if p.is_zero:
-        return "0"
-    out = []
-    for i, (mono, coeff) in enumerate(p.terms):
-        body = _term_latex(chart, mono, coeff)
-        if i == 0:
-            out.append("-" + body if coeff < 0 else body)
-        else:
-            out.append(" - " + body if coeff < 0 else " + " + body)
-    return "".join(out)
-
-
 def render_latex(e: Expression) -> str:
-    chart = e.chart
+    num_s = _poly_str(e.chart, e.num, _LATEX)
     if e.den.is_const and e.den.const_value() == 1:
-        return _poly_latex(chart, e.num)
-    return (
-        "\\frac{" + _poly_latex(chart, e.num) + "}{"
-        + _poly_latex(chart, e.den) + "}"
-    )
+        return num_s
+    return f"\\frac{{{num_s}}}{{{_poly_str(e.chart, e.den, _LATEX)}}}"

@@ -83,16 +83,6 @@ class PfaffianSystem:
         self.coframe = Coframe(chart, self.omega + self.theta + self.pi)
         self._structure = None
 
-    def structure_equations(self) -> StructureEquations:
-        return structure_equations(self)
-
-    def is_linear(self) -> bool:
-        try:
-            self.structure_equations()
-        except NotLinear:
-            return False
-        return True
-
 
 def _structure_equations(coframe, omega, theta, pi) -> StructureEquations:
     """Tableau and torsion of each d(omega) expanded on ``coframe``.
@@ -146,15 +136,25 @@ def coframe_structure_equations(chart, theta_forms, pi_forms=()):
 
 
 def is_linear(system: PfaffianSystem) -> bool:
-    return system.is_linear()
+    try:
+        structure_equations(system)
+    except NotLinear:
+        return False
+    return True
+
+
+def distinct_up_to_sign(values):
+    """The distinct nonzero values up to sign, in first-seen order.
+
+    Each is returned with a positive leading numerator coefficient.
+    """
+    return list(dict.fromkeys(
+        -e if e.num.lead_coeff < 0 else e for e in values if not e.is_zero
+    ))
 
 
 # ----------------------------------------------------------------------
 # torsion absorption
-
-
-def _normalize_sign(e: Expression) -> Expression:
-    return -e if e.num.lead_coeff < 0 else e
 
 
 class AbsorptionSolution:
@@ -239,15 +239,10 @@ def _solve_absorption(eqs: StructureEquations) -> AbsorptionSolution:
     red, pivots = linsolve.rref(rows, chart, max_col=ncols)
     pivot_set = set(pivots)
 
-    essential = []
-    seen = set()
-    for row in red:
-        # a row left with only its right-hand side is unabsorbable torsion
-        if list(row) == [ncols]:
-            e = _normalize_sign(row[ncols])
-            if e not in seen:
-                seen.add(e)
-                essential.append(e)
+    # a row left with only its right-hand side is unabsorbable torsion
+    essential = distinct_up_to_sign(
+        row[ncols] for row in red if list(row) == [ncols]
+    )
 
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     particular = {}

@@ -820,10 +820,15 @@ def cofactors(a: Polynomial, b: Polynomial):
     if b.is_zero:
         s = -1 if a.lead_coeff < 0 else 1
         return a.scale(s), Polynomial.const(s), _ZERO
-    ca, cb = a.icontent(), b.icontent()
     if a.is_const or b.is_const:
-        cg = math.gcd(ca, cb)
+        # only the constant's divisors can be common, so a unit ends it
+        k, other = (a, b) if a.is_const else (b, a)
+        k = abs(k.const_value())
+        if k == 1:
+            return _ONE, a, b
+        cg = math.gcd(k, other.icontent())
         return Polynomial.const(cg), a.div_int(cg), b.div_int(cg)
+    ca, cb = a.icontent(), b.icontent()
 
     # signed contents, so that the cores have positive leading coefficients
     if a.lead_coeff < 0:

@@ -7,8 +7,9 @@ to the flat model exactly when every residual vanishes identically.
 from __future__ import annotations
 
 from .chart import Chart
-from .errors import ChartMismatch, DomainError, VanishingJacobian
-from .expr import Expression, TotalDerivation
+from .errors import DomainError, VanishingJacobian
+from .expr import Expression, require_chart
+from .forms import VectorField
 from .ode2 import FlatnessReport
 
 
@@ -20,14 +21,6 @@ def odesys_chart() -> Chart:
 def pdesys_chart() -> Chart:
     """Chart for the second order PDE system in one unknown u(x1, x2)."""
     return Chart(coords=("x1", "x2", "u", "u1", "u2"))
-
-
-def _require_chart(e: Expression, chart: Chart, name: str) -> Expression:
-    if not isinstance(e, Expression):
-        raise TypeError(f"{name} must be an Expression")
-    if e.chart != chart:
-        raise ChartMismatch(f"{name} must live on the {chart.coords} chart")
-    return e
 
 
 def d(e: Expression, *names: str) -> Expression:
@@ -45,9 +38,9 @@ def check_flat_ode_system(F1: Expression, F2: Expression) -> FlatnessReport:
     closure conditions coupling velocity and position derivatives.
     """
     ch = odesys_chart()
-    F1 = _require_chart(F1, ch, "F1")
-    F2 = _require_chart(F2, ch, "F2")
-    Dt = TotalDerivation(ch, {
+    F1 = require_chart(F1, ch, "F1")
+    F2 = require_chart(F2, ch, "F2")
+    Dt = VectorField(ch, {
         "t": 1,
         "x1": Expression.var(ch, "dx1"),
         "x2": Expression.var(ch, "dx2"),
@@ -93,14 +86,14 @@ def flat_system_under_point_transform(phi1: Expression,
     flatness test: its output must pass all eight residuals.
     """
     ch = odesys_chart()
-    phi1 = _require_chart(phi1, ch, "phi1")
-    phi2 = _require_chart(phi2, ch, "phi2")
+    phi1 = require_chart(phi1, ch, "phi1")
+    phi2 = require_chart(phi2, ch, "phi2")
     for name, e in (("phi1", phi1), ("phi2", phi2)):
         bad = {ch.key_of("dx1"), ch.key_of("dx2")} & e.variables()
         if bad:
             raise DomainError(f"{name} must not depend on the velocities")
 
-    D0 = TotalDerivation(ch, {
+    D0 = VectorField(ch, {
         "t": 1,
         "x1": Expression.var(ch, "dx1"),
         "x2": Expression.var(ch, "dx2"),
@@ -123,9 +116,9 @@ def check_flat_pde_system(f11: Expression, f12: Expression,
                           f22: Expression) -> FlatnessReport:
     """Obstructions for u_ij = f_ij(x, u, u') to flatten to u_ij = 0."""
     ch = pdesys_chart()
-    f11 = _require_chart(f11, ch, "f11")
-    f12 = _require_chart(f12, ch, "f12")
-    f22 = _require_chart(f22, ch, "f22")
+    f11 = require_chart(f11, ch, "f11")
+    f12 = require_chart(f12, ch, "f12")
+    f22 = require_chart(f22, ch, "f22")
 
     r1 = d(f11, "u2", "u2")
     r2 = d(f22, "u1", "u1")

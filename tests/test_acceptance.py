@@ -17,7 +17,7 @@ from cartaneq import (
     DivisionByZero,
     Expression,
     NotEquivalent,
-    TotalDerivation,
+    VectorField,
     absorb_torsion,
     check_flat_ode2,
     check_flat_ode_system,
@@ -72,7 +72,7 @@ def test_criterion_1_golden_invariant_coframe():
 
     ch = rep.chart
     v = lambda n: Expression.var(ch, n)
-    D = TotalDerivation(ch, {"x": 1, "y": v("p"), "p": v("f")})
+    D = VectorField(ch, {"x": 1, "y": v("p"), "p": v("f")})
     half = Expression.const(ch, Fraction(1, 2))
     quarter = Expression.const(ch, Fraction(1, 4))
 

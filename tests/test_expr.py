@@ -11,8 +11,8 @@ from cartaneq import (
     ChartMismatch,
     DivisionByZero,
     Expression,
-    TotalDerivation,
     UnknownName,
+    VectorField,
     parse_expression,
 )
 
@@ -160,7 +160,7 @@ def test_total_derivation():
         coords=("x", "y", "p"),
         functions=[("eta", ("x", "y")), ("f", ("x", "y", "p"))],
     )
-    D = TotalDerivation(ch, {
+    D = VectorField(ch, {
         "x": 1,
         "y": Expression.var(ch, "p"),
         "p": Expression.var(ch, "f"),

@@ -4,11 +4,14 @@ import pytest
 
 from cartaneq import (
     Chart,
+    ChartMismatch,
     Coframe,
     DifferentialForm,
     Expression,
     SingularCoframe,
+    UnknownName,
     VectorField,
+    ode2_chart,
     parse_expression,
     wedge,
 )
@@ -168,3 +171,21 @@ def test_vector_field_directional_derivative():
                          "y": E("p")})
     assert X(E("x*y")) == E("y + x*p")
     assert X(E("f")) == E("f_x + p*f_y")
+
+
+def test_vector_field_rejects_a_negative_index():
+    # -1 would otherwise differentiate along the last direction
+    with pytest.raises(UnknownName):
+        VectorField(ode2_chart(), {-1: 1})
+
+
+def test_vector_field_rejects_an_index_past_the_basis_when_built():
+    with pytest.raises(UnknownName):
+        VectorField(ode2_chart(), {7: 1})
+    with pytest.raises(UnknownName):
+        VectorField(CH, {"f": 1})
+
+
+def test_vector_field_rejects_a_coefficient_from_another_chart():
+    with pytest.raises(ChartMismatch):
+        VectorField(ode2_chart(), {"x": Expression.var(CH, "p")})

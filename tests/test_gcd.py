@@ -61,6 +61,25 @@ def test_prs_fallback_is_counted_and_agrees(monkeypatch):
     poly._gcd_cached.cache_clear()
 
 
+def test_a_unit_operand_takes_no_content(monkeypatch):
+    calls = []
+    icontent = Polynomial.icontent
+    monkeypatch.setattr(Polynomial, "icontent",
+                        lambda p: calls.append(p) or icontent(p))
+    a = Polynomial.const(6) * X ** 2 + Polynomial.const(4) * Y
+    assert cofactors(a, ONE) == (ONE, a, ONE)
+    assert cofactors(-ONE, a) == (ONE, -ONE, a)
+    assert calls == []
+    # another constant meets only the other operand's content
+    six = Polynomial.const(-6)
+    assert cofactors(a, six) == (
+        Polynomial.const(2),
+        Polynomial.const(3) * X ** 2 + Polynomial.const(2) * Y,
+        Polynomial.const(-3),
+    )
+    assert calls == [a]
+
+
 def test_heuristic_rejects_an_unlucky_point():
     # b = x + 1 fixes the first xi at 31; there a(31) = 64 and b(31) = 32,
     # whose integer gcd 32 reads back as x + 1, which does not divide a

@@ -13,8 +13,8 @@ from cartaneq import (
     Expression,
     NotEquivalent,
     NotInClass,
-    TotalDerivation,
     VanishingJacobian,
+    VectorField,
     check_flat_ode2,
     ode2_chart,
     painleve_map,
@@ -35,7 +35,7 @@ def E(text, chart=BASE):
 
 
 def _Dx(ch):
-    return TotalDerivation(ch, {
+    return VectorField(ch, {
         "x": 1,
         "y": Expression.var(ch, "p"),
         "p": Expression.var(ch, "f"),
