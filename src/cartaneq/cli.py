@@ -11,11 +11,17 @@ known variable list.  Output formats: text (default), json (stable key
 order, byte identical for identical inputs), latex.  Exit codes: 0 when
 the computation ran (verdicts live in the payload), 1 when stdout closed
 before the output was written, 2 on parse errors, 3 on domain errors.
+
+``main`` may be called many times in one process.  The argparse parser is
+built on the first call and kept, so a later call pays only for parsing
+its arguments and for the mathematics; every call starts from a fresh
+namespace, and the handlers look up the library functions at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -180,7 +186,9 @@ def _cmd_swell_demo(parser, args, fmt):
     return payload, lines
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it found it, so one serves every call
     parser = argparse.ArgumentParser(
         prog="cartaneq",
         description="equivalence-method calculations for ODE and PDE classes",

@@ -11,16 +11,25 @@ There is no implicit multiplication; ``2*x`` is required, ``2x`` is an
 error.  Names resolve against the chart, including derivative spellings
 such as ``f_pp``.  Rendering is the inverse: parsing a rendered expression
 on the same chart reproduces it exactly.
+
+Parsing computes with polynomials first.  Every operand is an integer
+polynomial over a positive int, each sum gathers its terms in one dict
+over the lcm of those ints, and the result is reduced once, by
+``Expression.make``.  Only a divisor that is not constant brings in
+``Expression`` arithmetic, which cancels a gcd at every step; the value
+the text denotes, and so the canonical Expression, is the same either way.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from .chart import Chart
 from .errors import DegreeOverflow, ParseError, UnknownName
 from .expr import Expression
+from .poly import Polynomial
 
 MAX_EXPONENT = 512
 
@@ -53,7 +62,24 @@ def _tokenize(text: str):
     return tokens
 
 
+def _pair_or_expression(e: Expression):
+    """Back to a polynomial over an int once no divisor is left."""
+    if e.den.is_const:
+        return e.num, e.den.const_value()
+    return e
+
+
 class _Parser:
+    """Recursive descent that evaluates as it goes.
+
+    A value is a pair ``(p, d)``, the polynomial p over the positive int d,
+    and is never reduced on the way.  Only a divisor that is not constant
+    turns a value into an Expression, whose operators reduce at every
+    step; an Expression that comes out with a constant denominator turns
+    back into a pair, so an Expression value is never zero.  ``parse``
+    reduces a pair once, with ``Expression.make``.
+    """
+
     def __init__(self, text: str, chart: Chart):
         self.text = text
         self.chart = chart
@@ -74,49 +100,86 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         self.advance()
 
+    def expression(self, v) -> Expression:
+        if isinstance(v, Expression):
+            return v
+        p, d = v
+        return Expression.make(self.chart, p, Polynomial.const(d))
+
     def parse(self) -> Expression:
-        e = self.expr()
+        v = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {val!r} after expression", pos)
-        return e
+        return self.expression(v)
 
-    def expr(self) -> Expression:
+    def expr(self):
         kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val == "-":
-            self.advance()
-            negate = True
-        e = self.term()
+        negate = kind == "op" and val == "-"
         if negate:
-            e = -e
+            self.advance()
+        terms = [(negate, self.term())]
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                e = e + rhs if val == "+" else e - rhs
-            else:
-                return e
+            if kind != "op" or val not in "+-":
+                break
+            self.advance()
+            terms.append((val == "-", self.term()))
+        if len(terms) > 1:
+            return self.add(terms)
+        negate, v = terms[0]
+        if not negate:
+            return v
+        return -v if isinstance(v, Expression) else (-v[0], v[1])
 
-    def term(self) -> Expression:
-        e = self.factor()
+    def add(self, terms):
+        """One dict over the lcm of the pairs' ints, then the Expressions."""
+        lcm = math.lcm(*(v[1] for _, v in terms if isinstance(v, tuple)))
+        acc = {}
+        rest = []
+        for negate, v in terms:
+            if isinstance(v, Expression):
+                rest.append(-v if negate else v)
+                continue
+            p, d = v
+            k = -(lcm // d) if negate else lcm // d
+            for m, c in p.terms:
+                acc[m] = acc.get(m, 0) + k * c
+        total = Polynomial.from_dict(acc), lcm
+        if not rest:
+            return total
+        return _pair_or_expression(sum(rest, self.expression(total)))
+
+    def term(self):
+        v = self.factor()
         while True:
             kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.factor()
-                if val == "*":
-                    e = e * rhs
-                else:
-                    if rhs.is_zero:
-                        raise ParseError("division by zero", pos)
-                    e = e / rhs
-            else:
-                return e
+            if kind != "op" or val not in "*/":
+                return v
+            self.advance()
+            rhs = self.factor()
+            if val == "*":
+                v = self.product(v, rhs)
+                continue
+            if isinstance(rhs, tuple):
+                q, d = rhs
+                if q.is_zero:
+                    raise ParseError("division by zero", pos)
+                if q.is_const:
+                    # v / (c/d) is v * d / c, the sign on the polynomial
+                    c = q.const_value()
+                    inverse = Polynomial.const(-d if c < 0 else d), abs(c)
+                    v = self.product(v, inverse)
+                    continue
+            v = _pair_or_expression(self.expression(v) / self.expression(rhs))
 
-    def factor(self) -> Expression:
-        e = self.atom()
+    def product(self, a, b):
+        if isinstance(a, Expression) or isinstance(b, Expression):
+            return _pair_or_expression(self.expression(a) * self.expression(b))
+        return a[0] * b[0], a[1] * b[1]
+
+    def factor(self):
+        v = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.advance()
@@ -127,22 +190,27 @@ class _Parser:
             n = int(val)
             if n > MAX_EXPONENT:
                 raise DegreeOverflow(f"exponent {n} exceeds {MAX_EXPONENT}")
-            e = e ** n
-        return e
+            if isinstance(v, Expression):
+                return _pair_or_expression(v ** n)
+            v = v[0] ** n, v[1] ** n
+        return v
 
-    def atom(self) -> Expression:
+    def atom(self):
         kind, val, pos = self.advance()
         if kind == "num":
-            return Expression.const(self.chart, Fraction(val))
+            if "." not in val:
+                return Polynomial.const(int(val)), 1
+            f = Fraction(val)
+            return Polynomial.const(f.numerator), f.denominator
         if kind == "name":
             try:
-                return Expression.var(self.chart, val)
+                return Polynomial.var(self.chart.resolve(val)), 1
             except UnknownName as exc:
                 raise ParseError(str(exc), pos) from None
         if kind == "op" and val == "(":
-            e = self.expr()
+            v = self.expr()
             self.expect_op(")")
-            return e
+            return v
         if kind == "end":
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected {val!r}", pos)

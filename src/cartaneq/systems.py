@@ -123,6 +123,6 @@ def check_flat_pde_system(f11: Expression, f12: Expression,
     r1 = d(f11, "u2", "u2")
     r2 = d(f22, "u1", "u1")
     r3 = d(f12, "u2", "u2") - d(f11, "u1", "u2")
-    r4 = d(f22, "u1", "u2")
+    r4 = d(f12, "u1", "u1") - d(f22, "u1", "u2")
     r5 = d(f11, "u1", "u1") - 4 * d(f12, "u1", "u2") + d(f22, "u2", "u2")
     return FlatnessReport("pdesys", [r1, r2, r3, r4, r5])

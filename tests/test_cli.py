@@ -236,20 +236,26 @@ def test_max_prolong_is_not_an_option(capsys):
     assert "unrecognized arguments: --max-prolong" in capsys.readouterr().err
 
 
-def test_closed_stdout_exits_quietly():
-    # the reader of the pipe is gone before anything is written
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+def fresh_cli(argv, **kwargs):
+    """``python -m cartaneq.cli`` in a new interpreter on this cartaneq."""
     env = dict(os.environ)
     src = str(Path(cartaneq.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return subprocess.run(
+        [sys.executable, "-m", "cartaneq.cli", *argv],
+        env=env, timeout=60, **kwargs,
+    )
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader of the pipe is gone before anything is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "cartaneq.cli", "structure", "--format", "latex"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
-        )
+        proc = fresh_cli(["structure", "--format", "latex"],
+                         stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert proc.returncode != 0
@@ -272,3 +278,42 @@ def test_output_is_bit_stable(capsys):
     out2 = capsys.readouterr().out
     assert first == second == 0
     assert out1 == out2
+
+
+# -- one process, many calls ---------------------------------------------
+
+# mixed subcommands, a format flag and then none, and every exit path
+ONE_PROCESS_CALLS = [
+    (0, ["check-flat", "ode2", "--f", "6*y^2 + x"]),
+    (0, ["invariants", "--f", "p^3 + x*y", "--format", "latex"]),
+    (0, ["invariants", "--f", "p^3 + x*y"]),
+    (0, ["check-flat", "pdesys", "--f11", "2*u1^3", "--f12", "2*u1^2*u2",
+         "--f22", "2*u1*u2^2", "--format", "json"]),
+    (2, ["check-flat", "ode3"]),
+    (0, ["pullback", "--eta", "y + x^2", "--C", "1/2",
+         "--target", "6*y^2 + x", "--format", "latex"]),
+    (2, ["check-flat", "ode2"]),
+    (2, ["check-flat", "ode2", "--f=1/(x-x)"]),
+    (3, ["check-flat", "ode2", "--f=x^513"]),
+    (0, ["painleve", "--f", "6*y^2 + x"]),
+    (0, ["check-flat", "odesys", "--F1", "dx2^3", "--F2", "0"]),
+]
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys, monkeypatch):
+    # argparse wraps its usage lines to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    got = []
+    for _, argv in ONE_PROCESS_CALLS:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        got.append((code, captured.out, captured.err))
+    want = []
+    for _, argv in ONE_PROCESS_CALLS:
+        proc = fresh_cli(argv, capture_output=True, text=True)
+        want.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in got] == [c for c, _ in ONE_PROCESS_CALLS]
+    assert got == want

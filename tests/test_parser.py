@@ -1,8 +1,10 @@
 """Grammar, canonical text rendering, and the round trip between them."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cartaneq import (
     Chart,
@@ -113,3 +115,119 @@ def test_latex_rendering():
     assert r == "\\frac{f_{ppp}}{2 a_{3}^{2}}"
     assert render_latex(parse_expression("-12*y", big)) == "-12 y"
     assert render_latex(parse_expression("x^2", big)) == "x^{2}"
+
+
+# ----------------------------------------------------------------------
+# differential test: every text of the grammar against sympy.cancel
+
+ODE2 = Chart(coords=("x", "y", "p"))
+NUMBERS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.builds("{}.{}".format, st.integers(0, 9),
+              st.sampled_from(("5", "25", "0", "05"))),
+)
+
+
+def _sympy():
+    sp = pytest.importorskip("sympy")
+    return sp, sp.symbols(ODE2.basis_names())
+
+
+@st.composite
+def texts(draw, depth=2):
+    """(text, divides_by_zero) for a text of the grammar.
+
+    The value of every divisor is kept in SymPy's field of rational
+    functions as the text is built, so a zero divisor is known without
+    asking cartaneq.
+    """
+    sp, _ = _sympy()
+    field, *gens = sp.field(",".join(ODE2.basis_names()), sp.QQ)
+    var = dict(zip(ODE2.basis_names(), gens))
+
+    def atom(depth):
+        kind = draw(st.integers(0, 2 if depth else 1))
+        if kind == 0:
+            text = draw(NUMBERS)
+            return text, field(sp.Rational(text)), False
+        if kind == 1:
+            name = draw(st.sampled_from(ODE2.basis_names()))
+            return name, var[name], False
+        text, value, zero_div = expr(depth - 1)
+        return f"({text})", value, zero_div
+
+    def factor(depth):
+        text, value, zero_div = atom(depth)
+        n = draw(st.none() | st.integers(0, 4))
+        if n is None:
+            return text, value, zero_div
+        # the field refuses 0**0, which the grammar reads as 1
+        return f"{text}^{n}", value ** n if n else field(1), zero_div
+
+    def term(depth):
+        text, value, zero_div = factor(depth)
+        for _ in range(draw(st.integers(0, 2))):
+            op = draw(st.sampled_from("*/"))
+            t, v, z = factor(depth)
+            text, zero_div = f"{text}{op}{t}", zero_div or z
+            if zero_div:
+                continue
+            if op == "*":
+                value *= v
+            elif v == 0:
+                zero_div = True
+            else:
+                value /= v
+        return text, value, zero_div
+
+    def expr(depth):
+        negate = draw(st.booleans())
+        text, value, zero_div = term(depth)
+        text, value = ("-" + text, -value) if negate else (text, value)
+        for _ in range(draw(st.integers(0, 2))):
+            op = draw(st.sampled_from("+-"))
+            t, v, z = term(depth)
+            text, zero_div = f"{text} {op} {t}", zero_div or z
+            if not zero_div:
+                value = value + v if op == "+" else value - v
+        return text, value, zero_div
+
+    text, _, zero_div = expr(depth)
+    return text, zero_div
+
+
+def _to_sympy(p, sp, gens):
+    exps = {}
+    for m, c in p.terms:
+        e = [0] * len(gens)
+        for k, n in m:
+            e[ODE2.basis_index(k)] = n
+        exps[tuple(e)] = c
+    return sp.Poly.from_dict(exps or {(0,) * len(gens): 0}, *gens)
+
+
+@given(texts())
+@example(("x/(y - y)", True))
+@example(("(x^2 - 1)/(x - 1) + 1.5*y^2/3", False))
+@example(("-(p - 0.25)^4/(x*y - y*x + 2)^3 - y/p^0", False))
+@settings(max_examples=100, deadline=None)
+def test_parse_matches_sympy_cancel(case):
+    text, zero_div = case
+    sp, gens = _sympy()
+    if zero_div:
+        with pytest.raises(ParseError):
+            parse_expression(text, ODE2)
+        return
+    got = parse_expression(text, ODE2)
+    want = sp.cancel(sp.sympify(text, locals=dict(zip(map(str, gens), gens)),
+                                rational=True))
+    num, den = (sp.Poly(part, *gens) for part in sp.fraction(sp.together(want)))
+    got_num, got_den = _to_sympy(got.num, sp, gens), _to_sympy(got.den, sp, gens)
+    assert got.den.lead_coeff > 0
+    if num.is_zero:
+        assert got.is_zero and got_den == sp.Poly(1, *gens)
+        return
+    # both pairs are reduced, so they differ by one rational factor
+    c = num.LC() / got_num.LC()
+    assert num == got_num * c and den == got_den * c
+    assert math.gcd(got.num.icontent(), got.den.icontent()) == 1

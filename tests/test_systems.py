@@ -104,3 +104,26 @@ def test_pde_mixed_condition():
     assert not rep.flat
     assert rep.failing() == [3]
     assert rep.residuals[2] == 2
+
+
+# u_ij = 0 under x1 -> x1 + u^2, whose solutions are
+# u = a (x1 + u^2) + b x2 + c, and its 1 <-> 2 mirror
+PDE_POINT_IMAGES = [
+    ("2*u1^3", "2*u1^2*u2", "2*u1*u2^2"),
+    ("2*u1^2*u2", "2*u1*u2^2", "2*u2^3"),
+]
+
+
+@pytest.mark.parametrize("f11, f12, f22", PDE_POINT_IMAGES)
+def test_pde_point_map_image_is_flat(f11, f12, f22):
+    rep = check_flat_pde_system(P(f11), P(f12), P(f22))
+    assert rep.flat, rep.residuals
+
+
+def test_pde_perturbed_point_map_image_is_not_flat():
+    # the fourth condition is the mirror of the third: f12 against f22
+    rep = check_flat_pde_system(P("2*u1^3"), P("2*u1^2*u2 + u1^2"),
+                                P("2*u1*u2^2"))
+    assert not rep.flat
+    assert rep.failing() == [4]
+    assert rep.residuals[3] == 2
