@@ -50,28 +50,20 @@ def _renderer(fmt):
     return (render_latex, _name_latex) if fmt == "latex" else (render_text, str)
 
 
-def _parse_flag(parser, text, chart, flag):
-    if text is None:
-        parser.error(f"{flag} is required here")
-    return parse_expression(text, chart)
-
-
-def _cmd_check_flat(parser, args, fmt):
+def _cmd_check_flat(args, fmt):
     if args.problem == "ode2":
-        f = _parse_flag(parser, args.f, ode2_chart(), "--f")
-        rep = check_flat_ode2(f)
+        rep = check_flat_ode2(parse_expression(args.f, ode2_chart()))
     elif args.problem == "odesys":
         ch = odesys_chart()
         rep = check_flat_ode_system(
-            _parse_flag(parser, args.F1, ch, "--F1"),
-            _parse_flag(parser, args.F2, ch, "--F2"),
+            parse_expression(args.F1, ch), parse_expression(args.F2, ch)
         )
     else:
         ch = pdesys_chart()
         rep = check_flat_pde_system(
-            _parse_flag(parser, args.f11, ch, "--f11"),
-            _parse_flag(parser, args.f12, ch, "--f12"),
-            _parse_flag(parser, args.f22, ch, "--f22"),
+            parse_expression(args.f11, ch),
+            parse_expression(args.f12, ch),
+            parse_expression(args.f22, ch),
         )
     render, _ = _renderer(fmt)
     payload = {
@@ -84,7 +76,7 @@ def _cmd_check_flat(parser, args, fmt):
     return payload, lines
 
 
-def _cmd_invariants(parser, args, fmt):
+def _cmd_invariants(args, fmt):
     f = None if args.f is None else parse_expression(args.f, ode2_chart())
     rep = run_equivalence_ode2(f)
     render, spell = _renderer(fmt)
@@ -101,7 +93,7 @@ def _cmd_invariants(parser, args, fmt):
     return payload, lines
 
 
-def _cmd_structure(parser, args, fmt):
+def _cmd_structure(args, fmt):
     f = None if args.f is None else parse_expression(args.f, ode2_chart())
     rep = run_equivalence_ode2(f)
     payload = {
@@ -118,7 +110,7 @@ def _cmd_structure(parser, args, fmt):
     return payload, lines
 
 
-def _cmd_syzygies(parser, args, fmt):
+def _cmd_syzygies(args, fmt):
     f = None if args.f is None else parse_expression(args.f, ode2_chart())
     rep = syzygies_ode2(f)
     render, _ = _renderer(fmt)
@@ -130,8 +122,8 @@ def _cmd_syzygies(parser, args, fmt):
     return payload, lines
 
 
-def _cmd_painleve(parser, args, fmt):
-    f = _parse_flag(parser, args.f, ode2_chart(), "--f")
+def _cmd_painleve(args, fmt):
+    f = parse_expression(args.f, ode2_chart())
     render, _ = _renderer(fmt)
     try:
         eta, C = painleve_map(f)
@@ -163,18 +155,18 @@ def _cmd_painleve(parser, args, fmt):
     return payload, lines
 
 
-def _cmd_pullback(parser, args, fmt):
+def _cmd_pullback(args, fmt):
     ch = ode2_chart()
-    eta = _parse_flag(parser, args.eta, ch, "--eta")
-    C = _parse_flag(parser, args.C, ch, "--C")
-    fbar = _parse_flag(parser, args.target, ch, "--target")
+    eta = parse_expression(args.eta, ch)
+    C = parse_expression(args.C, ch)
+    fbar = parse_expression(args.target, ch)
     f = pullback_ode2(eta, C, fbar)
     render, _ = _renderer(fmt)
     payload = {"problem": "ode2", "f": render_text(f)}
     return payload, [f"f = {render(f)}"]
 
 
-def _cmd_swell_demo(parser, args, fmt):
+def _cmd_swell_demo(args, fmt):
     res = contact_prolongation_ode3()
     m = res.monomials
     payload = {"problem": "ode3", "swell": {"monomials_rbar": m[2]}}
@@ -202,13 +194,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("check-flat", help="test equivalence to the flat model")
-    p.add_argument("problem", choices=("ode2", "odesys", "pdesys"))
-    p.add_argument("--f", help="right-hand side of y'' = f(x, y, p)")
-    p.add_argument("--F1", help="right-hand side of x1'' (odesys)")
-    p.add_argument("--F2", help="right-hand side of x2'' (odesys)")
-    p.add_argument("--f11", help="u_11 = f11(x1, x2, u, u1, u2) (pdesys)")
-    p.add_argument("--f12", help="u_12 = f12(...) (pdesys)")
-    p.add_argument("--f22", help="u_22 = f22(...) (pdesys)")
+    problems = p.add_subparsers(dest="problem", required=True)
+    p = problems.add_parser("ode2", help="y'' = f(x, y, p)")
+    p.add_argument("--f", required=True, help="right-hand side of y'' = f")
+    common(p, _cmd_check_flat)
+    p = problems.add_parser("odesys", help="x1'' = F1, x2'' = F2")
+    p.add_argument("--F1", required=True, help="right-hand side of x1''")
+    p.add_argument("--F2", required=True, help="right-hand side of x2''")
+    common(p, _cmd_check_flat)
+    p = problems.add_parser("pdesys", help="u_ij = f_ij(x1, x2, u, u1, u2)")
+    p.add_argument("--f11", required=True, help="u_11 = f11(...)")
+    p.add_argument("--f12", required=True, help="u_12 = f12(...)")
+    p.add_argument("--f22", required=True, help="u_22 = f22(...)")
     common(p, _cmd_check_flat)
 
     p = sub.add_parser(
@@ -232,15 +229,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "painleve", help="map y'' = f to y'' = 6y^2 + x when possible"
     )
-    p.add_argument("--f", help="right-hand side of y'' = f(x, y, p)")
+    p.add_argument("--f", required=True, help="right-hand side of y'' = f")
     common(p, _cmd_painleve)
 
     p = sub.add_parser(
         "pullback", help="pull a target equation back along x + C, eta(x, y)"
     )
-    p.add_argument("--eta", help="new y as a function of x, y")
-    p.add_argument("--C", help="constant shift in x")
-    p.add_argument("--target", help="right-hand side of the target equation")
+    p.add_argument("--eta", required=True, help="new y as a function of x, y")
+    p.add_argument("--C", required=True, help="constant shift in x")
+    p.add_argument("--target", required=True, help="target right-hand side")
     common(p, _cmd_pullback)
 
     p = sub.add_parser(
@@ -256,7 +253,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, lines = args.handler(parser, args, args.format)
+        payload, lines = args.handler(args, args.format)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

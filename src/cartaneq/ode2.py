@@ -49,29 +49,38 @@ def ode2_bundle_chart() -> Chart:
 class EquivalenceReport:
     """Invariant coframe data for one equation (or the symbolic class).
 
-    Fields: ``theta`` the four invariant 1-forms, ``frame`` their dual
-    derivations, ``I1``/``I2``/``I3`` the fundamental invariants,
-    ``structure`` the final structure equations, ``essential`` the
-    essential torsion of the invariant coframe, ``absorption`` the lifted
-    coframe absorption step, and ``involution`` Cartan's test on the final
-    coframe.
+    The method computes three things: ``theta`` the four invariant
+    1-forms, ``frame`` their dual derivations and ``structure`` the
+    structure equations of ``theta``.  The final coframe has no group
+    forms, so its structure is torsion alone, and everything else is read
+    off that torsion table: the fundamental invariants ``I1``, ``I2``,
+    ``I3`` are the entries T[0,1,2], T[3,0,1] and T[3,1,2], ``essential``
+    is every nonzero entry up to sign, and ``involution`` is Cartan's
+    test on the structure.
     """
 
-    def __init__(self, chart, f, theta, frame, invariants, structure,
-                 essential, absorption, involution):
+    def __init__(self, chart, theta, frame, structure):
         self.chart = chart
-        self.f = f
         self.theta = theta
         self.frame = frame
-        self.I1, self.I2, self.I3 = invariants
         self.structure = structure
-        self.essential = essential
-        self.absorption = absorption
-        self.involution = involution
+
+    I1 = property(lambda self: self.structure.torsion_entry(0, 1, 2))
+    I2 = property(lambda self: self.structure.torsion_entry(3, 0, 1))
+    I3 = property(lambda self: self.structure.torsion_entry(3, 1, 2))
 
     @property
     def invariants(self):
         return (self.I1, self.I2, self.I3)
+
+    @property
+    def essential(self):
+        """The essential torsion, sign-normalized, in first-seen order."""
+        return distinct_up_to_sign(self.structure.T.values())
+
+    @property
+    def involution(self):
+        return cartan_characters(self.structure)
 
     def structure_lines(self, render, lhs="d(theta{})",
                         term="({})*theta{}^theta{}"):
@@ -116,32 +125,27 @@ def _symbolic_report() -> EquivalenceReport:
     pi = (one / a3) * da3
 
     lifted = coframe_structure_equations(ch, [th1, th2, th3], [pi])
-    absorption = absorb_torsion(lifted)
-    th4 = absorption.absorbed_pi_forms()[0]
+    th4 = absorb_torsion(lifted).absorbed_pi_forms()[0]
 
     theta = [th1, th2, th3, th4]
-    final = coframe_structure_equations(ch, theta, [])
-    I1 = final.torsion_entry(0, 1, 2)
-    I2 = final.torsion_entry(3, 0, 1)
-    I3 = final.torsion_entry(3, 1, 2)
-
     frame = Coframe(ch, theta).dual_frame()
-    essential = absorb_torsion(final).essential
-    involution = cartan_characters(final)
     return EquivalenceReport(
-        ch, None, theta, frame, (I1, I2, I3), final, essential,
-        absorption, involution,
+        ch, theta, frame, coframe_structure_equations(ch, theta, [])
     )
 
 
-def _coerce_rhs(f, chart: Chart) -> Expression:
-    """Lift a concrete right-hand side onto the bundle chart."""
+def _on_chart(f, chart: Chart) -> Expression:
+    """A right-hand side in x, y, p moved onto ``chart``.
+
+    The value is rebased onto a chart that extends its own and projected
+    onto one that its own extends; one it cannot reach raises DomainError.
+    """
     if not isinstance(f, Expression):
         raise TypeError("expected an Expression for the right-hand side")
-    if f.chart == chart:
-        return f
     try:
-        return f.rebase(chart)
+        if chart.is_extension_of(f.chart):
+            return f.rebase(chart)
+        return f.project(chart)
     except ChartMismatch:
         raise DomainError(
             "the right-hand side must live on the (x, y, p) chart"
@@ -151,39 +155,30 @@ def _coerce_rhs(f, chart: Chart) -> Expression:
 def run_equivalence_ode2(f: Expression | None = None) -> EquivalenceReport:
     """Invariant coframe of y'' = f; symbolic f when none is given.
 
-    The symbolic run is computed once and cached; a concrete right-hand
-    side is substituted into it.  This class needs no prolongation.
+    The symbolic run is computed once and cached.  For a concrete
+    right-hand side one ``Substitution`` maps its coframe, frame and
+    torsion table; the invariants are read off that table.  This class
+    needs no prolongation.
     """
     rep = _symbolic_report()
     if f is None:
         return rep
     ch = rep.chart
-    fc = _coerce_rhs(f, ch)
-
-    se = Substitution(ch, "f", fc)
-
-    def sform(form: DifferentialForm) -> DifferentialForm:
-        return DifferentialForm(
-            ch, form.degree, {i: se(c) for i, c in form.comps.items()}
-        )
-
-    theta = [sform(t) for t in rep.theta]
+    se = Substitution(ch, "f", _on_chart(f, ch))
+    theta = [
+        DifferentialForm(ch, 1, {i: se(c) for i, c in t.comps.items()})
+        for t in rep.theta
+    ]
     frame = [
         VectorField(ch, {i: se(c) for i, c in X.comps.items()})
         for X in rep.frame
     ]
+    sym = rep.structure
     structure = StructureEquations(
-        ch, rep.structure.a, rep.structure.n, rep.structure.r,
-        {k: se(c) for k, c in rep.structure.A.items()},
-        {k: se(c) for k, c in rep.structure.T.items()},
-        theta,
-        [sform(t) for t in rep.structure.pi_forms],
+        ch, sym.a, sym.n, sym.r, {},
+        {k: se(c) for k, c in sym.T.items()}, theta, [],
     )
-    essential = distinct_up_to_sign(se(e) for e in rep.essential)
-    return EquivalenceReport(
-        ch, fc, theta, frame, tuple(se(i) for i in rep.invariants),
-        structure, essential, rep.absorption, rep.involution,
-    )
+    return EquivalenceReport(ch, theta, frame, structure)
 
 
 # ----------------------------------------------------------------------
@@ -298,14 +293,7 @@ def check_flat_ode2(f: Expression) -> FlatnessReport:
     The two residuals are f_ppp and the combination
     f_xp + f f_pp - 2 f_y - (1/2) f_p^2 + p f_yp, which equals 2 I1.
     """
-    ch = ode2_chart()
-    if f.chart != ch:
-        try:
-            f = f.project(ch)
-        except ChartMismatch:
-            raise DomainError(
-                "the right-hand side must live on the (x, y, p) chart"
-            ) from None
+    f = _on_chart(f, ode2_chart())
     half = Expression.const(f.chart, Fraction(1, 2))
     p = Expression.var(f.chart, "p")
     fp = f.partial("p")
@@ -333,7 +321,7 @@ def painleve_map(f: Expression):
     """
     from .parser import render_text
 
-    rep = run_equivalence_ode2(_coerce_rhs(f, ode2_bundle_chart()))
+    rep = run_equivalence_ode2(f)
     ch = rep.chart
     if not rep.I2.is_zero:
         raise NotInClass("I2", render_text(rep.I2))

@@ -15,8 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .chart import Chart
-from .errors import DomainError, VanishingJacobian
-from .expr import Expression, Substitution, require_chart
+from .errors import ArgumentEscape, DomainError, VanishingJacobian
+from .expr import Expression, require_chart
 from .forms import VectorField
 
 
@@ -55,18 +55,17 @@ def _total_derivation(ch: Chart) -> VectorField:
     })
 
 
-@lru_cache(maxsize=1)
-def _symbolic_prolongation() -> ProlongationResult:
-    ch = ode3_chart()
+def _prolong(ch: Chart, xi: Expression, eta: Expression) -> ProlongationResult:
+    """pbar, qbar, rbar of x -> xi, y -> eta on the ode3 chart ``ch``."""
     D = _total_derivation(ch)
-    xi = Expression.var(ch, "xi")
-    eta = Expression.var(ch, "eta")
     # Work with polynomial numerators over explicit powers of B = D(xi):
     # pbar = A1/B, qbar = A2/B^3, rbar = A3/B^5 with
     #   A2 = D(A1) B - A1 D(B),  A3 = D(A2) B - 3 A2 D(B).
     # Quotient-rule reductions on the swollen intermediates are far more
     # expensive than the three final divisions.
     B = D(xi)
+    if B.is_zero:
+        raise VanishingJacobian("D(xi) vanishes identically")
     dB = D(B)
     A1 = D(eta)
     A2 = D(A1) * B - A1 * dB
@@ -74,33 +73,34 @@ def _symbolic_prolongation() -> ProlongationResult:
     return ProlongationResult(A1 / B, A2 / B ** 3, A3 / B ** 5)
 
 
+@lru_cache(maxsize=1)
+def _symbolic_prolongation() -> ProlongationResult:
+    ch = ode3_chart()
+    return _prolong(ch, Expression.var(ch, "xi"), Expression.var(ch, "eta"))
+
+
 def contact_prolongation_ode3(xi: Expression | None = None,
                               eta: Expression | None = None) -> ProlongationResult:
-    """Prolong a contact transformation; fully opaque when no input given.
+    """Prolong x -> xi, y -> eta to third order jets.
 
-    Concrete xi and eta must live on the (x, y, p, q) chart and depend on
-    x, y, p only; the third order right-hand side f stays opaque either
-    way.
+    With no input, xi and eta are the opaque functions of the chart: that
+    result is computed once, cached, and kept as the expression-swell
+    regression.  Concrete xi and eta must live on the (x, y, p, q) chart
+    and depend on x, y, p only (else ArgumentEscape); they are prolonged
+    directly, never substituted into the opaque result.  The third order
+    right-hand side f stays opaque either way.
+
+    The contact condition eta_p = pbar xi_p is not checked: for
+    xi = x + 2 x^3, eta = y - 3 x y + p^2 it fails, and pbar depends on q.
     """
-    sym = _symbolic_prolongation()
     if xi is None and eta is None:
-        return sym
+        return _symbolic_prolongation()
     if xi is None or eta is None:
         raise DomainError("give both xi and eta, or neither")
     ch = ode3_chart()
-    xi = require_chart(xi, ch, "xi")
-    eta = require_chart(eta, ch, "eta")
-
-    sub_xi = Substitution(ch, "xi", xi)
-    sub_eta = Substitution(ch, "eta", eta)
-
-    def subst(e: Expression) -> Expression:
-        return sub_eta(sub_xi(e))
-
-    # the denominators are powers of D(xi); reject singular transformations
-    D = _total_derivation(ch)
-    if D(subst(Expression.var(ch, "xi"))).is_zero:
-        raise VanishingJacobian("D(xi) vanishes identically")
-    return ProlongationResult(
-        subst(sym.pbar), subst(sym.qbar), subst(sym.rbar)
-    )
+    allowed = {ch.key_of(v) for v in ("x", "y", "p")}
+    for name, e in (("xi", xi), ("eta", eta)):
+        require_chart(e, ch, name)
+        if not e.variables() <= allowed:
+            raise ArgumentEscape(f"{name} may depend only on x, y and p")
+    return _prolong(ch, xi, eta)

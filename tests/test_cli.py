@@ -6,6 +6,7 @@ shell user would, including exit codes.
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -70,7 +71,9 @@ def test_check_flat_requires_the_right_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["check-flat", "ode2"])
     assert exc.value.code == 2
-    assert "--f is required here" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cartaneq check-flat ode2")
+    assert "--f" in err.splitlines()[0]
 
 
 # -- invariants / structure / syzygies ----------------------------------
@@ -266,6 +269,25 @@ def test_unknown_name_is_a_parse_error(capsys):
     code, _, err = run(capsys, "invariants", "--f", "q + 1")
     assert code == 2
     assert "'q' is not declared" in err
+
+
+def readme_cli_examples():
+    """The argv of each ``cartaneq ...`` line in README's CLI block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines() if line.startswith("cartaneq ")
+    ]
+
+
+def test_readme_cli_examples_run(capsys):
+    examples = readme_cli_examples()
+    assert len(examples) >= 10
+    for argv in examples:
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
 
 
 # -- determinism ---------------------------------------------------------

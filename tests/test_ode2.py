@@ -23,7 +23,9 @@ from cartaneq import (
     run_equivalence_ode2,
     syzygies_ode2,
 )
+from cartaneq.expr import Substitution
 from cartaneq.parser import parse_expression, render_text
+from cartaneq.pfaffian import absorb_torsion, distinct_up_to_sign
 
 from conftest import seeded
 
@@ -140,8 +142,46 @@ def test_concrete_invariants():
 
 def test_concrete_rhs_must_live_downstairs():
     other = Chart(coords=("x", "y", "z"))
-    with pytest.raises(DomainError):
-        run_equivalence_ode2(parse_expression("z", other))
+    for call in (check_flat_ode2, run_equivalence_ode2, painleve_map):
+        with pytest.raises(DomainError):
+            call(parse_expression("z", other))
+        with pytest.raises(TypeError):
+            call("x")
+    # a bundle-chart value without a3 or f projects down for check_flat
+    bundle = run_equivalence_ode2().chart
+    assert check_flat_ode2(E("6*y^2 + x", bundle)).residuals[1] == E("-24*y")
+
+
+# the right-hand sides of the golden hash corpus, then a rational one
+ORACLE_RHS = [
+    "6*y^2 + x",
+    "p^3/(x + y) + y*p^2",
+    "p^3 + x*y",
+    "0",
+    "6*y^2 + x + 5",
+    "p^3",
+    "(6*y^4 + 12*y^2 - 2*p^2 + x + 8)/(2*y)",
+    "(x*y + p^2)/(y + 1) + p^4",
+]
+
+
+def test_concrete_report_equals_the_substituted_symbolic_one():
+    sym = run_equivalence_ode2()
+    ch = sym.chart
+    # the absorption of the final coframe, an independent route to the
+    # essential torsion
+    sym_essential = absorb_torsion(sym.structure).essential
+    for text in ORACLE_RHS:
+        se = Substitution(ch, "f", E(text).rebase(ch))
+        rep = run_equivalence_ode2(E(text))
+        assert rep.invariants == tuple(se(i) for i in sym.invariants), text
+        assert rep.structure.T == {
+            k: se(c) for k, c in sym.structure.T.items()
+        }, text
+        assert rep.essential == distinct_up_to_sign(
+            se(e) for e in sym_essential
+        ), text
+        assert rep.involution.characters == sym.involution.characters
 
 
 def test_syzygies_symbolic():
@@ -231,7 +271,7 @@ def test_each_power_of_an_image_is_computed_once(monkeypatch):
         calls.append((self, n))
         return raw(self, n)
 
-    # one Substitution maps the 31 components of the report
+    # one Substitution maps the 24 components of the report
     monkeypatch.setattr(Expression, "__pow__", power)
     run_equivalence_ode2(f)
     # by identity: f_x, f_y and f_p are equal here but are different images;
