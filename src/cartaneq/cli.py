@@ -191,7 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("text", "json", "latex"), default="text"
         )
-        p.set_defaults(handler=handler)
+        # an unrecognized flag is reported with the usage of its subcommand
+        p.set_defaults(handler=handler, parser=p)
 
     p = sub.add_parser("check-flat", help="test equivalence to the flat model")
     problems = p.add_subparsers(dest="problem", required=True)
@@ -250,8 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         payload, lines = args.handler(args, args.format)
     except ParseError as e:

@@ -23,14 +23,13 @@ from .poly import Polynomial, exact_div, gcd
 
 
 class Expression:
-    __slots__ = ("chart", "num", "den", "_hash")
+    __slots__ = ("chart", "num", "den")
 
     def __init__(self, chart: Chart, num: Polynomial, den: Polynomial):
         # callers must provide a reduced, sign-normalized pair; use make()
         self.chart = chart
         self.num = num
         self.den = den
-        self._hash = hash((num, den))
 
     # ------------------------------------------------------------------
     # construction
@@ -107,7 +106,7 @@ class Expression:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero

@@ -26,7 +26,8 @@ hands back the quotients it already holds:
 2. trial exact division, smaller operand first;
 3. a certificate that specializes all variables but one at a point drawn
    from the operands themselves, computes mod the prime 2^61 - 1, and can
-   prove single variables absent from the gcd;
+   prove single variables absent from the gcd; it tries the shared
+   variables in key order and stops at the first it cannot prove absent;
 4. the heuristic gcd GCDHEU of Char, Geddes and Gonnet (J. Symbolic
    Comput. 7, 1989): evaluate at a large integer, take the integer gcd,
    interpolate back and accept only a result that divides both operands;
@@ -34,7 +35,9 @@ hands back the quotients it already holds:
    one chosen variable, whose quotients are divided afresh.  This
    fallback is counted in ``prs_fallbacks``.
 
-Every stage depends only on its operands, never on earlier calls.
+Every stage depends only on its operands, never on earlier calls: there
+is no memo table, the operands are used in the order given, and a
+polynomial's hash is computed when asked for, not when it is built.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heappop, heappush
 
 from .errors import DivisionByZero
@@ -190,13 +192,12 @@ def _packed_mul(ta, tb) -> "Polynomial":
 class Polynomial:
     """Immutable sparse polynomial over the integers."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms):
         # terms must already be combined, nonzero, sorted; use from_dict
         # or the arithmetic below rather than calling this directly.
         self.terms = terms
-        self._hash = hash(terms)
 
     # ------------------------------------------------------------------
     # construction
@@ -280,7 +281,7 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.terms == other.terms
 
     def __hash__(self):
-        return self._hash
+        return hash(self.terms)
 
     def __repr__(self):
         return f"Polynomial({self.terms!r})"
@@ -758,8 +759,8 @@ def _univ_prs_gcd(f, g):
     return f
 
 
-def _prs_gcd(a: Polynomial, b: Polynomial, undecided) -> Polynomial:
-    """The counted fallback: primitive PRS in the cheapest undecided variable."""
+def _prs_gcd(a: Polynomial, b: Polynomial, shared) -> Polynomial:
+    """The counted fallback: primitive PRS in the cheapest shared variable."""
     global prs_fallbacks
     prs_fallbacks += 1
 
@@ -767,7 +768,7 @@ def _prs_gcd(a: Polynomial, b: Polynomial, undecided) -> Polynomial:
         da, db = a.degree_in(k), b.degree_in(k)
         return (min(da, db), da + db)
 
-    key = min(undecided, key=cost)
+    key = min(shared, key=cost)
     ua, ub = _to_univariate(a, key), _to_univariate(b, key)
     ua, conta = _primitive_univ(ua)
     ub, contb = _primitive_univ(ub)
@@ -777,8 +778,7 @@ def _prs_gcd(a: Polynomial, b: Polynomial, undecided) -> Polynomial:
     return g.monic_sign()
 
 
-@lru_cache(maxsize=1 << 14)
-def _gcd_cached(a: Polynomial, b: Polynomial):
+def _gcd_core(a: Polynomial, b: Polynomial):
     # both non-constant, integer- and monomial-content free, leading
     # coefficients positive; returns (g, a/g, b/g)
     if a == b:
@@ -794,17 +794,16 @@ def _gcd_cached(a: Polynomial, b: Polynomial):
         if q is not None:
             return b, q, _ONE
 
-    shared = a.variables() & b.variables()
+    shared = sorted(a.variables() & b.variables())
     if not shared:
         return _ONE, a, b
 
-    undecided = [k for k in sorted(shared) if not _certify_var_absent(a, b, k)]
-    if not undecided:
+    if all(_certify_var_absent(a, b, k) for k in shared):
         return _ONE, a, b
 
     got = _heu_gcd(a, b)
     if got is None:
-        g = _prs_gcd(a, b, undecided)
+        g = _prs_gcd(a, b, shared)
         got = g, exact_div(a, g), exact_div(b, g)
     return got
 
@@ -839,10 +838,8 @@ def cofactors(a: Polynomial, b: Polynomial):
     a0, b0 = a.div_int(ca).div_mono(ma), b.div_int(cb).div_mono(mb)
     if a0.is_const or b0.is_const:
         g, qa, qb = _ONE, a0, b0
-    elif (len(b0), b0.terms) < (len(a0), a0.terms):
-        g, qb, qa = _gcd_cached(b0, a0)
     else:
-        g, qa, qb = _gcd_cached(a0, b0)
+        g, qa, qb = _gcd_core(a0, b0)
     cg, mg = math.gcd(ca, cb), _mgcd(ma, mb)
     return (g.mul_term(mg, cg),
             qa.mul_term(_mdiv(ma, mg), ca // cg),

@@ -1,12 +1,14 @@
 """Brute-force reference computations for the structure-level tests.
 
-Everything here works over plain Fractions with its own Gaussian
-elimination, independent of the library's expression arithmetic.
+The structure-level oracles work over plain Fractions with their own
+Gaussian elimination, independent of the library's expression
+arithmetic.  The point-map image of the flat ODE system uses that
+arithmetic, but none of the flatness formulas it is checked against.
 """
 
 from fractions import Fraction
 
-from cartaneq import Chart, Expression
+from cartaneq import Chart, Expression, odesys_chart
 from cartaneq.pfaffian import StructureEquations
 
 
@@ -163,3 +165,30 @@ def brute_force_sigma(eqs, rng, tries=100, span=4):
             if got > best[k - 1]:
                 best[k - 1] = got
     return tuple(best)
+
+
+def flat_system_under_point_map(T, X1, X2):
+    """(F1, F2) whose solutions are the images of straight lines x'' = 0
+    under the point map (t, x) -> (T(t, x), X(t, x)).
+
+    Along a solution of x'' = F the total derivative is D = D0 + F_j d/ddx_j
+    with D0 = d/dt + dx_j d/dx_j, and the image is a straight line when
+    D^2 X_i DT - DX_i D^2 T = 0.  As D^2 X_i = D0^2 X_i + X_i,x_j F_j and
+    D^2 T = D0^2 T + T,x_j F_j, that is a 2x2 linear system in F.
+    """
+    ch = odesys_chart()
+    dx1, dx2 = Expression.var(ch, "dx1"), Expression.var(ch, "dx2")
+
+    def D0(e):
+        return e.partial("t") + dx1 * e.partial("x1") + dx2 * e.partial("x2")
+
+    DT, DDT = D0(T), D0(D0(T))
+    M, r = [], []
+    for X in (X1, X2):
+        DX = D0(X)
+        M.append([X.partial(x) * DT - DX * T.partial(x) for x in ("x1", "x2")])
+        r.append(DX * DDT - D0(DX) * DT)
+    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    assert not det.is_zero, "the point map is singular"
+    return ((r[0] * M[1][1] - r[1] * M[0][1]) / det,
+            (M[0][0] * r[1] - M[1][0] * r[0]) / det)

@@ -67,13 +67,16 @@ def test_check_flat_pdesys(capsys):
 
 
 def test_check_flat_requires_the_right_flags(capsys):
-    # argparse handles this one, so it exits rather than returning
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check-flat", "ode2"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: cartaneq check-flat ode2")
-    assert "--f" in err.splitlines()[0]
+    # argparse handles these, so they exit rather than returning; a missing
+    # and a foreign flag both name the subcommand in the usage line
+    for argv in (["check-flat", "ode2"],
+                 ["check-flat", "ode2", "--f=x", "--F1=y"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cartaneq check-flat ode2")
+        assert "--f" in err.splitlines()[0]
 
 
 # -- invariants / structure / syzygies ----------------------------------
@@ -316,6 +319,7 @@ ONE_PROCESS_CALLS = [
          "--target", "6*y^2 + x", "--format", "latex"]),
     (2, ["check-flat", "ode2"]),
     (2, ["check-flat", "ode2", "--f=1/(x-x)"]),
+    (2, ["check-flat", "ode2", "--f=x", "--F1=y"]),
     (3, ["check-flat", "ode2", "--f=x^513"]),
     (0, ["painleve", "--f", "6*y^2 + x"]),
     (0, ["check-flat", "odesys", "--F1", "dx2^3", "--F2", "0"]),

@@ -137,62 +137,64 @@ def _sympy():
 def texts(draw, depth=2):
     """(text, divides_by_zero) for a text of the grammar.
 
-    The value of every divisor is kept in SymPy's field of rational
+    The value of every divisor is computed in SymPy's field of rational
     functions as the text is built, so a zero divisor is known without
-    asking cartaneq.
+    asking cartaneq.  Only what stands under a ``/`` gets a value
+    (``need``): nothing reads the value of the whole text, and the field
+    arithmetic on a large one can take SymPy minutes.
     """
     sp, _ = _sympy()
     field, *gens = sp.field(",".join(ODE2.basis_names()), sp.QQ)
     var = dict(zip(ODE2.basis_names(), gens))
 
-    def atom(depth):
+    def atom(depth, need):
         kind = draw(st.integers(0, 2 if depth else 1))
         if kind == 0:
             text = draw(NUMBERS)
-            return text, field(sp.Rational(text)), False
+            return text, need and field(sp.Rational(text)), False
         if kind == 1:
             name = draw(st.sampled_from(ODE2.basis_names()))
             return name, var[name], False
-        text, value, zero_div = expr(depth - 1)
+        text, value, zero_div = expr(depth - 1, need)
         return f"({text})", value, zero_div
 
-    def factor(depth):
-        text, value, zero_div = atom(depth)
+    def factor(depth, need):
+        text, value, zero_div = atom(depth, need)
         n = draw(st.none() | st.integers(0, 4))
         if n is None:
             return text, value, zero_div
         # the field refuses 0**0, which the grammar reads as 1
-        return f"{text}^{n}", value ** n if n else field(1), zero_div
+        value = need and (value ** n if n else field(1))
+        return f"{text}^{n}", value, zero_div
 
-    def term(depth):
-        text, value, zero_div = factor(depth)
+    def term(depth, need):
+        text, value, zero_div = factor(depth, need)
         for _ in range(draw(st.integers(0, 2))):
             op = draw(st.sampled_from("*/"))
-            t, v, z = factor(depth)
+            t, v, z = factor(depth, need or (op == "/" and not zero_div))
             text, zero_div = f"{text}{op}{t}", zero_div or z
             if zero_div:
                 continue
-            if op == "*":
-                value *= v
-            elif v == 0:
+            if op == "/" and v == 0:
                 zero_div = True
-            else:
-                value /= v
+            elif need:
+                value = value * v if op == "*" else value / v
         return text, value, zero_div
 
-    def expr(depth):
+    def expr(depth, need):
         negate = draw(st.booleans())
-        text, value, zero_div = term(depth)
-        text, value = ("-" + text, -value) if negate else (text, value)
+        text, value, zero_div = term(depth, need)
+        if negate:
+            text, value = "-" + text, need and -value
         for _ in range(draw(st.integers(0, 2))):
             op = draw(st.sampled_from("+-"))
-            t, v, z = term(depth)
+            t, v, z = term(depth, need)
             text, zero_div = f"{text} {op} {t}", zero_div or z
-            if not zero_div:
+            if need and not zero_div:
                 value = value + v if op == "+" else value - v
         return text, value, zero_div
 
-    text, _, zero_div = expr(depth)
+    text, _, zero_div = expr(depth, False)
     return text, zero_div
 
 
@@ -206,10 +208,23 @@ def _to_sympy(p, sp, gens):
     return sp.Poly.from_dict(exps or {(0,) * len(gens): 0}, *gens)
 
 
+# sp.cancel expands the whole text before it cancels, and a reduced result
+# of a few thousand terms can take it seconds to tens of seconds; below
+# this many terms (numerator plus denominator) it stays under a second
+CANCEL_GUARD = 200
+
+
 @given(texts())
 @example(("x/(y - y)", True))
 @example(("(x^2 - 1)/(x - 1) + 1.5*y^2/3", False))
 @example(("-(p - 0.25)^4/(x*y - y*x + 2)^3 - y/p^0", False))
+# the field arithmetic on this whole draw took SymPy minutes and sp.cancel
+# takes it tens of seconds; cartaneq parses it in milliseconds
+@example(("(-x*(6^4 + p^1*9.25 - x^4/p*8.0^2)/p^4 + (x/x - y^0*p^4/x)^0*(x)"
+          " + 3^2/(x/y^2/x - 11/6^3*x + y^1*8.5))*p^2 + ((-5.25^4/6.05^2)^4"
+          "*1^4/(-y/x - x/4^0*0^4 + y/4.5^0*8)^0 - p/(-6/y*4.25 - x/9.25^3*x^4"
+          " - 9.05^4/5.5^0*x^4)^4*(-y^4/10/x))^4*(-p/p^1)^4 + ((-p^3*12^3*x"
+          " + x^0*5.05^4)^3*8.0^1)^1/(0.5 + y*x)", False))
 @settings(max_examples=100, deadline=None)
 def test_parse_matches_sympy_cancel(case):
     text, zero_div = case
@@ -219,15 +234,36 @@ def test_parse_matches_sympy_cancel(case):
             parse_expression(text, ODE2)
         return
     got = parse_expression(text, ODE2)
-    want = sp.cancel(sp.sympify(text, locals=dict(zip(map(str, gens), gens)),
-                                rational=True))
+    assert got.den.lead_coeff > 0
+    assert math.gcd(got.num.icontent(), got.den.icontent()) == 1
+    tree = sp.sympify(text, locals=dict(zip(map(str, gens), gens)),
+                      rational=True)
+
+    # the value of the text at seeded rational points, skipping a point
+    # where some divisor of the text vanishes
+    rng = seeded(text)
+    checked = 0
+    for _ in range(20):
+        point = {g: sp.Rational(rng.randint(-99, 99), rng.randint(1, 9))
+                 for g in gens}
+        want = tree.xreplace(point)
+        if want.is_Rational:
+            point = {str(g): Fraction(int(v.p), int(v.q))
+                     for g, v in point.items()}
+            assert got.evaluate(point) == Fraction(int(want.p), int(want.q))
+            checked += 1
+            if checked == 3:
+                break
+    assert checked == 3
+    if got.size > CANCEL_GUARD:
+        return
+
+    want = sp.cancel(tree)
     num, den = (sp.Poly(part, *gens) for part in sp.fraction(sp.together(want)))
     got_num, got_den = _to_sympy(got.num, sp, gens), _to_sympy(got.den, sp, gens)
-    assert got.den.lead_coeff > 0
     if num.is_zero:
         assert got.is_zero and got_den == sp.Poly(1, *gens)
         return
     # both pairs are reduced, so they differ by one rational factor
     c = num.LC() / got_num.LC()
     assert num == got_num * c and den == got_den * c
-    assert math.gcd(got.num.icontent(), got.den.icontent()) == 1

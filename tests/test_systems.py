@@ -1,11 +1,14 @@
 """Flatness of pairs of second order ODEs and of elliptic PDE pairs."""
 
+from itertools import product
+
 import pytest
 
 from cartaneq import (
     Chart,
     ChartMismatch,
     DomainError,
+    Expression,
     VanishingJacobian,
     check_flat_ode_system,
     check_flat_pde_system,
@@ -14,8 +17,10 @@ from cartaneq import (
     pdesys_chart,
 )
 from cartaneq.parser import parse_expression, render_text
+from cartaneq.systems import d
 
 from conftest import seeded
+from oracles import flat_system_under_point_map
 
 ODE = odesys_chart()
 PDE = pdesys_chart()
@@ -67,6 +72,28 @@ def test_random_point_transforms_stay_flat():
         phi2 = c * x1 + d * x2 + q() * x2 * x2 + q() * t * t
         F1, F2 = flat_system_under_point_transform(phi1, phi2)
         assert check_flat_ode_system(F1, F2).flat
+
+
+def test_general_point_map_images_are_flat():
+    # T depends on x, so most images are cubic in the velocities and r1-r5
+    # meet coefficients that must cancel; an image is x'' = 0 in disguise,
+    # and a term quadratic in the position keeps it from being one (adding
+    # x1 would not do: every linear system is flat)
+    rng = seeded(802)
+    t, x1, x2 = (Expression.var(ODE, n) for n in ("t", "x1", "x2"))
+    cubic = 0
+    for _ in range(15):
+        q = lambda: rng.randint(-2, 2)
+        T = (t + rng.choice((1, -1, 2)) * x1 + q() * x2 + q() * t * x2
+             + q() * x1 * x1 + q() * x1 * x2)
+        X1 = x1 + q() * t * x1 + q() * x2 * x2 + q() * t
+        X2 = x2 + q() * x1 * x1 + q() * t * x2 + q()
+        F1, F2 = flat_system_under_point_map(T, X1, X2)
+        cubic += any(d(F, *vs) for F in (F1, F2)
+                     for vs in product(("dx1", "dx2"), repeat=3))
+        assert check_flat_ode_system(F1, F2).flat
+        assert not check_flat_ode_system(F1 + x1 ** 2, F2).flat
+    assert cubic >= 10
 
 
 def test_point_transform_validations():
