@@ -251,9 +251,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, extra = _build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    args, extra = parser.parse_known_args(argv)
     if extra:
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        # the command is the first positional, so whatever stands before
+        # it was left over by the top-level parser
+        owner = args.parser if argv[0] == args.command else parser
+        owner.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         payload, lines = args.handler(args, args.format)
     except ParseError as e:

@@ -9,6 +9,13 @@ procedure for equality of rational functions.
 Derivatives treat opaque function symbols through the chain rule: the
 partial of f_I along an argument coordinate v is the symbol f_{Iv}, and
 zero along anything else.
+
+Two reductions cancel only what can be shared.  A partial derivative
+reduces against gcd(D, D') of its denominator D, which holds every
+factor the quotient rule's numerator can share with its denominator
+(see ``Expression.partial``).  The image of a polynomial under a
+``VariableMap`` brings its denominator groups over their lcm and
+reduces once.
 """
 
 from __future__ import annotations
@@ -213,7 +220,20 @@ class Expression:
         return out
 
     def partial(self, name_or_key) -> "Expression":
-        """Partial derivative along a coordinate or parameter."""
+        """Partial derivative along a coordinate or parameter.
+
+        With N/D reduced, g = gcd(D, D'), D = g D1 and D' = g E1, the
+        quotient rule gives (N' D1 - N E1) / (g D1^2).  No factor p of D1
+        divides that numerator: p divides neither E1 (D1 and E1 are
+        coprime) nor N, yet it divides N' D1.  So every factor the two
+        can share divides g, integer content included, and one gcd
+        against g reduces the quotient.  That g is small.  Let p be
+        irreducible with p' != 0.  If p holds a symbol s whose derivative
+        s_v it lacks (take s of top order), p' is linear in s_v with
+        coefficient dp/ds, of lower degree in s than p; else p' = dp/dv,
+        of lower degree in v.  So p never divides p', and a factor p^e
+        of D leaves only p^(e-1) in g.
+        """
         if isinstance(name_or_key, str):
             key = self.chart.key_of(name_or_key)
         else:
@@ -226,9 +246,13 @@ class Expression:
             if dn.is_zero:
                 return Expression.const(self.chart, 0)
             return Expression.make(self.chart, dn, self.den)
-        return Expression.make(
-            self.chart, dn * self.den - self.num * dd, self.den * self.den
-        )
+        g, d1, e1 = poly.cofactors(self.den, dd)
+        num = dn * d1 - self.num * e1
+        if num.is_zero:
+            return Expression.const(self.chart, 0)
+        _, num, g = poly.cofactors(num, g)
+        # g, d1 and so the denominator keep positive leading coefficients
+        return Expression(self.chart, num, g * d1 * d1)
 
     # ------------------------------------------------------------------
     # substitution and evaluation
@@ -373,11 +397,24 @@ class VariableMap:
             acc = groups.setdefault(t.den, {})
             for mm, cc in t.num.terms:
                 acc[mm] = acc.get(mm, 0) + c * cc
-        total = Expression.const(self.chart, 0)
-        for den, acc in groups.items():
-            total = total + Expression.make(
-                self.chart, Polynomial.from_dict(acc), den)
-        return total
+        if not groups:
+            return Expression.const(self.chart, 0)
+        (lcm, acc), *rest = groups.items()
+        if not rest:
+            return Expression.make(self.chart, Polynomial.from_dict(acc), lcm)
+        # the lcm of the small group denominators, with each group's
+        # multiplier lcm/den kept as it grows
+        parts = [(acc, poly.one())]
+        for den, acc in rest:
+            _, lq, dq = poly.cofactors(lcm, den)
+            parts = [(a, q * dq) for a, q in parts]
+            parts.append((acc, lq))
+            lcm = lcm * dq
+        total = {}
+        for acc, q in parts:
+            for m, c in (Polynomial.from_dict(acc) * q).terms:
+                total[m] = total.get(m, 0) + c
+        return Expression.make(self.chart, Polynomial.from_dict(total), lcm)
 
     def __call__(self, e: Expression) -> Expression:
         return self._poly(e.num) / self._poly(e.den)

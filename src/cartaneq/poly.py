@@ -432,14 +432,37 @@ class Polynomial:
         return Polynomial(tuple(out))
 
     def evaluate(self, vals) -> Fraction:
-        """Value at a point; ``vals`` must cover every variable present."""
-        total = Fraction(0)
-        for m, c in self.terms:
-            v = Fraction(c)
+        """Value at a point; ``vals`` must cover every variable present.
+
+        With variable k at n/d and E its top exponent here, a term is an
+        integer over prod d^E: each factor k^e reads n^e d^(E-e), and an
+        absent k reads d^E.  So the sum is an integer, divided once.
+        """
+        top = {}
+        for m, _ in self.terms:
             for k, e in m:
-                v *= vals[k] ** e
-            total += v
-        return total
+                if e > top.get(k, 0):
+                    top[k] = e
+        den = 1
+        for k, e in top.items():
+            den *= vals[k].denominator ** e
+        factors = {}
+
+        def factor(k, e):
+            got = factors.get((k, e))
+            if got is None:
+                v = vals[k]
+                got = v.numerator ** e * v.denominator ** (top[k] - e)
+                factors[(k, e)] = got
+            return got
+
+        total = 0
+        for m, c in self.terms:
+            exps = dict(m)
+            for k in top:
+                c *= factor(k, exps.get(k, 0))
+            total += c
+        return Fraction(total, den)
 
 
 _ZERO = Polynomial(())

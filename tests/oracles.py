@@ -4,12 +4,47 @@ The structure-level oracles work over plain Fractions with their own
 Gaussian elimination, independent of the library's expression
 arithmetic.  The point-map image of the flat ODE system uses that
 arithmetic, but none of the flatness formulas it is checked against.
+The two expression oracles reduce against whole denominators, where the
+library reduces against the factors that can be shared.
 """
 
 from fractions import Fraction
 
 from cartaneq import Chart, Expression, odesys_chart
 from cartaneq.pfaffian import StructureEquations
+from cartaneq.poly import Polynomial
+
+
+def quotient_rule_partial(e, name):
+    """d(N/D) as (N' D - N D') / D^2, reduced by one gcd against D^2."""
+    key = e.chart.key_of(name)
+    dn = e._poly_partial(e.num, key)
+    dd = e._poly_partial(e.den, key)
+    if dd.is_zero:
+        return Expression.make(e.chart, dn, e.den)
+    return Expression.make(e.chart, dn * e.den - e.num * dd, e.den * e.den)
+
+
+def groupwise_image(vmap, e):
+    """The image of ``e`` under a VariableMap, one group at a time.
+
+    Term images are summed per denominator, each group is reduced on its
+    own, and the groups are added with Expression arithmetic.
+    """
+    def image(p):
+        groups = {}
+        for m, c in p.terms:
+            t = vmap._monomial(m)
+            acc = groups.setdefault(t.den, {})
+            for mm, cc in t.num.terms:
+                acc[mm] = acc.get(mm, 0) + c * cc
+        total = Expression.const(vmap.chart, 0)
+        for den, acc in groups.items():
+            total = total + Expression.make(
+                vmap.chart, Polynomial.from_dict(acc), den)
+        return total
+
+    return image(e.num) / image(e.den)
 
 
 def numeric_structure(rng, a, n, r, span=3):

@@ -79,6 +79,16 @@ def test_check_flat_requires_the_right_flags(capsys):
         assert "--f" in err.splitlines()[0]
 
 
+def test_leftover_before_the_command_is_the_top_level_parsers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--bogus", "check-flat", "ode2", "--f=x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cartaneq [-h]")
+    assert err.splitlines()[-1] == (
+        "cartaneq: error: unrecognized arguments: --bogus")
+
+
 # -- invariants / structure / syzygies ----------------------------------
 
 def test_invariants_concrete(capsys):
@@ -320,6 +330,7 @@ ONE_PROCESS_CALLS = [
     (2, ["check-flat", "ode2"]),
     (2, ["check-flat", "ode2", "--f=1/(x-x)"]),
     (2, ["check-flat", "ode2", "--f=x", "--F1=y"]),
+    (2, ["--bogus", "check-flat", "ode2", "--f=x"]),
     (3, ["check-flat", "ode2", "--f=x^513"]),
     (0, ["painleve", "--f", "6*y^2 + x"]),
     (0, ["check-flat", "odesys", "--F1", "dx2^3", "--F2", "0"]),

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cartaneq import (
     ArgumentEscape,
@@ -15,8 +15,10 @@ from cartaneq import (
     VectorField,
     parse_expression,
 )
+from cartaneq.expr import Substitution
 
 from conftest import point_for, random_expression, seeded
+from oracles import groupwise_image, quotient_rule_partial
 
 CH = Chart(coords=("x", "y", "p"), functions=[("f", ("x", "y", "p"))])
 NAMES = ("x", "y", "p", "f", "f_p", "f_xy")
@@ -50,6 +52,39 @@ exprs = st.recursive(
     ),
     max_leaves=10,
 )
+
+
+def polys_over(names, leaves):
+    atoms = st.one_of(
+        st.integers(-8, 8).map(lambda n: Expression.const(CH, n)),
+        st.sampled_from(names).map(lambda n: Expression.var(CH, n)),
+    )
+    return st.recursive(
+        atoms,
+        lambda ch: st.one_of(
+            st.tuples(ch, ch).map(lambda t: t[0] + t[1]),
+            st.tuples(ch, ch).map(lambda t: t[0] * t[1]),
+        ),
+        max_leaves=leaves,
+    )
+
+
+def quotients_over(names):
+    """N / (c * F1^k1 * ...): denominators are powers of random factors."""
+    factors = polys_over(names, 4).filter(lambda e: not e.is_const)
+
+    def build(num, powers, c):
+        den = Expression.const(CH, c)
+        for f, k in powers:
+            den = den * f ** k
+        return num / den
+
+    return st.builds(
+        build,
+        polys_over(names, 8),
+        st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=3),
+        st.integers(1, 6),
+    )
 
 
 @given(exprs, exprs)
@@ -155,6 +190,31 @@ def test_partials_commute_on_random_expressions():
         assert a.partial("x").partial("p") == a.partial("p").partial("x")
 
 
+@given(quotients_over(NAMES))
+@settings(max_examples=80, deadline=None)
+def test_partial_matches_the_quotient_rule(e):
+    for v in ("x", "y", "p"):
+        assert e.partial(v) == quotient_rule_partial(e, v)
+
+
+def test_partial_reduces_against_the_shared_factor(opaque_chart):
+    # the numerator shares y with gcd(D, D_x); integer content; a power;
+    # an opaque denominator, through f_x and f_xp
+    cases = [
+        ("(x+1+y)/(y*(x+1))", "x", "-1/(x+1)^2"),
+        ("1/(2*x+4)", "x", "-1/(2*(x+2)^2)"),
+        ("(x*p+1)/(x+y+1)^3", "x", "(p*(x+y+1) - 3*(x*p+1))/(x+y+1)^4"),
+        ("(x*p+1)/(x+y+1)^3", "y", "-3*(x*p+1)/(x+y+1)^4"),
+        ("(x*p+1)/(x+y+1)^3", "p", "x/(x+y+1)^3"),
+        ("f/(f_p+x)", "x", "(f_x*(f_p+x) - f*(f_xp+1))/(f_p+x)^2"),
+    ]
+    for text, v, want in cases:
+        e = parse_expression(text, opaque_chart)
+        got = e.partial(v)
+        assert got == parse_expression(want, opaque_chart)
+        assert got == quotient_rule_partial(e, v)
+
+
 def test_total_derivation():
     ch = Chart(
         coords=("x", "y", "p"),
@@ -217,6 +277,20 @@ def test_substitution_consistent_with_chain_rule_numerically():
         full["f_p"] = value.partial("p").evaluate(pt)
         full["f_y"] = value.partial("y").evaluate(pt)
         assert subbed.evaluate(pt) == expr.evaluate(full)
+
+
+@given(quotients_over(NAMES), quotients_over(("x", "y", "p")))
+@example(E("f^2 + x*f_p + f_xy/(f + 1)"), E("(x*p + 1)/(x + y + 1)^3"))
+@settings(max_examples=60, deadline=None)
+def test_substitution_matches_the_groupwise_sum(e, value):
+    try:
+        got = Substitution(CH, "f", value)(e)
+    except DivisionByZero:
+        # the image of the denominator vanishes
+        with pytest.raises(DivisionByZero):
+            groupwise_image(Substitution(CH, "f", value), e)
+        return
+    assert got == groupwise_image(Substitution(CH, "f", value), e)
 
 
 def test_subs_coords():

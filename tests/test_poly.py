@@ -169,6 +169,28 @@ def reference_mul(a, b):
     return P(d)
 
 
+def per_term_value(p, vals):
+    """Every term valued as a Fraction and added in turn."""
+    total = Fraction(0)
+    for m, c in p.terms:
+        v = Fraction(c)
+        for k, e in m:
+            v *= vals[k] ** e
+        total += v
+    return total
+
+
+bits20 = st.integers(-(1 << 20), 1 << 20)
+
+
+@given(mul_polys, st.lists(st.tuples(bits20, bits20.filter(bool)),
+                           min_size=len(MUL_KEYS), max_size=len(MUL_KEYS)))
+@settings(max_examples=150, deadline=None)
+def test_evaluate_matches_the_per_term_sum(p, point):
+    vals = {k: Fraction(n, d) for k, (n, d) in zip(MUL_KEYS, point)}
+    assert p.evaluate(vals) == per_term_value(p, vals)
+
+
 def to_sympy(p, sp):
     gens = sp.symbols(f"v0:{len(MUL_KEYS)}")
     at = dict(zip(MUL_KEYS, gens))
