@@ -43,7 +43,6 @@ from .pfaffian import (
 from .systems import (
     check_flat_ode_system,
     check_flat_pde_system,
-    flat_system_under_point_transform,
     odesys_chart,
     pdesys_chart,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "pdesys_chart",
     "check_flat_ode_system",
     "check_flat_pde_system",
-    "flat_system_under_point_transform",
     "ode3_chart",
     "contact_prolongation_ode3",
     "parse_expression",

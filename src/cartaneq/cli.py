@@ -6,8 +6,10 @@ invariant coframe of y'' = f with its structure equations and syzygies,
 the transformation to y'' = 6y^2 + x and its inverse pullback, and the
 third order prolongation swell demo.
 
-Charts are fixed per subcommand, so expression flags parse against a
-known variable list.  Output formats: text (default), json (stable key
+Each subcommand, and each check-flat problem, declares its chart and its
+input flags once, where the parser is built.  ``main`` parses every given
+flag on that chart and calls the handler with the expressions, an omitted
+optional flag as None.  Output formats: text (default), json (stable key
 order, byte identical for identical inputs), latex.  Exit codes: 0 when
 the computation ran (verdicts live in the payload), 1 when stdout closed
 before the output was written, 2 on parse errors, 3 on domain errors.
@@ -50,21 +52,7 @@ def _renderer(fmt):
     return (render_latex, _name_latex) if fmt == "latex" else (render_text, str)
 
 
-def _cmd_check_flat(args, fmt):
-    if args.problem == "ode2":
-        rep = check_flat_ode2(parse_expression(args.f, ode2_chart()))
-    elif args.problem == "odesys":
-        ch = odesys_chart()
-        rep = check_flat_ode_system(
-            parse_expression(args.F1, ch), parse_expression(args.F2, ch)
-        )
-    else:
-        ch = pdesys_chart()
-        rep = check_flat_pde_system(
-            parse_expression(args.f11, ch),
-            parse_expression(args.f12, ch),
-            parse_expression(args.f22, ch),
-        )
+def _flatness(fmt, rep):
     render, _ = _renderer(fmt)
     payload = {
         "problem": rep.problem,
@@ -76,8 +64,7 @@ def _cmd_check_flat(args, fmt):
     return payload, lines
 
 
-def _cmd_invariants(args, fmt):
-    f = None if args.f is None else parse_expression(args.f, ode2_chart())
+def _cmd_invariants(fmt, f):
     rep = run_equivalence_ode2(f)
     render, spell = _renderer(fmt)
     names = ("I1", "I2", "I3")
@@ -93,8 +80,7 @@ def _cmd_invariants(args, fmt):
     return payload, lines
 
 
-def _cmd_structure(args, fmt):
-    f = None if args.f is None else parse_expression(args.f, ode2_chart())
+def _cmd_structure(fmt, f):
     rep = run_equivalence_ode2(f)
     payload = {
         "problem": "ode2",
@@ -110,8 +96,7 @@ def _cmd_structure(args, fmt):
     return payload, lines
 
 
-def _cmd_syzygies(args, fmt):
-    f = None if args.f is None else parse_expression(args.f, ode2_chart())
+def _cmd_syzygies(fmt, f):
     rep = syzygies_ode2(f)
     render, _ = _renderer(fmt)
     payload = {
@@ -122,8 +107,7 @@ def _cmd_syzygies(args, fmt):
     return payload, lines
 
 
-def _cmd_painleve(args, fmt):
-    f = parse_expression(args.f, ode2_chart())
+def _cmd_painleve(fmt, f):
     render, _ = _renderer(fmt)
     try:
         eta, C = painleve_map(f)
@@ -155,18 +139,14 @@ def _cmd_painleve(args, fmt):
     return payload, lines
 
 
-def _cmd_pullback(args, fmt):
-    ch = ode2_chart()
-    eta = parse_expression(args.eta, ch)
-    C = parse_expression(args.C, ch)
-    fbar = parse_expression(args.target, ch)
+def _cmd_pullback(fmt, eta, C, fbar):
     f = pullback_ode2(eta, C, fbar)
     render, _ = _renderer(fmt)
     payload = {"problem": "ode2", "f": render_text(f)}
     return payload, [f"f = {render(f)}"]
 
 
-def _cmd_swell_demo(args, fmt):
+def _cmd_swell_demo(fmt):
     res = contact_prolongation_ode3()
     m = res.monomials
     payload = {"problem": "ode3", "swell": {"monomials_rbar": m[2]}}
@@ -187,59 +167,59 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, handler):
+    def common(p, handler, chart=None, *flags, required=True):
+        for flag, text in flags:
+            p.add_argument("--" + flag, required=required, help=text)
         p.add_argument(
             "--format", choices=("text", "json", "latex"), default="text"
         )
         # an unrecognized flag is reported with the usage of its subcommand
-        p.set_defaults(handler=handler, parser=p)
+        p.set_defaults(handler=handler, parser=p, chart=chart,
+                       inputs=[flag for flag, _ in flags])
 
+    # a lambda looks the check up when it runs, like every handler
     p = sub.add_parser("check-flat", help="test equivalence to the flat model")
+    p.set_defaults(parent=p)
     problems = p.add_subparsers(dest="problem", required=True)
     p = problems.add_parser("ode2", help="y'' = f(x, y, p)")
-    p.add_argument("--f", required=True, help="right-hand side of y'' = f")
-    common(p, _cmd_check_flat)
+    common(p, lambda fmt, *e: _flatness(fmt, check_flat_ode2(*e)),
+           ode2_chart, ("f", "right-hand side of y'' = f"))
     p = problems.add_parser("odesys", help="x1'' = F1, x2'' = F2")
-    p.add_argument("--F1", required=True, help="right-hand side of x1''")
-    p.add_argument("--F2", required=True, help="right-hand side of x2''")
-    common(p, _cmd_check_flat)
+    common(p, lambda fmt, *e: _flatness(fmt, check_flat_ode_system(*e)),
+           odesys_chart, ("F1", "right-hand side of x1''"),
+           ("F2", "right-hand side of x2''"))
     p = problems.add_parser("pdesys", help="u_ij = f_ij(x1, x2, u, u1, u2)")
-    p.add_argument("--f11", required=True, help="u_11 = f11(...)")
-    p.add_argument("--f12", required=True, help="u_12 = f12(...)")
-    p.add_argument("--f22", required=True, help="u_22 = f22(...)")
-    common(p, _cmd_check_flat)
+    common(p, lambda fmt, *e: _flatness(fmt, check_flat_pde_system(*e)),
+           pdesys_chart, ("f11", "u_11 = f11(...)"),
+           ("f12", "u_12 = f12(...)"), ("f22", "u_22 = f22(...)"))
 
+    symbolic = ("f", "right-hand side; omit for the symbolic class")
     p = sub.add_parser(
         "invariants", help="fundamental invariants I1, I2, I3 of y'' = f"
     )
-    p.add_argument("--f", help="right-hand side; omit for the symbolic class")
-    common(p, _cmd_invariants)
+    common(p, _cmd_invariants, ode2_chart, symbolic, required=False)
 
     p = sub.add_parser(
         "structure", help="structure equations of the invariant coframe"
     )
-    p.add_argument("--f", help="right-hand side; omit for the symbolic class")
-    common(p, _cmd_structure)
+    common(p, _cmd_structure, ode2_chart, symbolic, required=False)
 
     p = sub.add_parser(
         "syzygies", help="relations among the invariant derivatives"
     )
-    p.add_argument("--f", help="right-hand side; omit for the symbolic class")
-    common(p, _cmd_syzygies)
+    common(p, _cmd_syzygies, ode2_chart, symbolic, required=False)
 
     p = sub.add_parser(
         "painleve", help="map y'' = f to y'' = 6y^2 + x when possible"
     )
-    p.add_argument("--f", required=True, help="right-hand side of y'' = f")
-    common(p, _cmd_painleve)
+    common(p, _cmd_painleve, ode2_chart, ("f", "right-hand side of y'' = f"))
 
     p = sub.add_parser(
         "pullback", help="pull a target equation back along x + C, eta(x, y)"
     )
-    p.add_argument("--eta", required=True, help="new y as a function of x, y")
-    p.add_argument("--C", required=True, help="constant shift in x")
-    p.add_argument("--target", required=True, help="target right-hand side")
-    common(p, _cmd_pullback)
+    common(p, _cmd_pullback, ode2_chart,
+           ("eta", "new y as a function of x, y"),
+           ("C", "constant shift in x"), ("target", "target right-hand side"))
 
     p = sub.add_parser(
         "swell-demo",
@@ -255,12 +235,21 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args, extra = parser.parse_known_args(argv)
     if extra:
-        # the command is the first positional, so whatever stands before
-        # it was left over by the top-level parser
-        owner = args.parser if argv[0] == args.command else parser
+        # the command and a check-flat problem are the first arguments, so
+        # a leftover before either was left over by the parser above it
+        if argv[0] != args.command:
+            owner = parser
+        elif "parent" in args and argv[1] != args.problem:
+            owner = args.parent
+        else:
+            owner = args.parser
         owner.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        payload, lines = args.handler(args, args.format)
+        chart = args.chart and args.chart()
+        texts = [getattr(args, flag) for flag in args.inputs]
+        inputs = [None if t is None else parse_expression(t, chart)
+                  for t in texts]
+        payload, lines = args.handler(args.format, *inputs)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

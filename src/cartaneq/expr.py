@@ -272,43 +272,30 @@ class Expression:
         """
         return Substitution(self.chart, fname, value)(self)
 
-    def subs_coords(self, mapping, target: Chart | None = None) -> "Expression":
+    def subs_coords(self, mapping) -> "Expression":
         """Composition with a coordinate map name -> Expression.
 
-        Derivative symbols are not rewritten, so the expression must not
-        contain symbols of functions whose arguments are being replaced.
+        The values live on this chart, and an unmapped variable maps to
+        itself.  Derivative symbols are not rewritten, so the expression
+        must not contain symbols of functions whose arguments are being
+        replaced.
         """
-        chart = target
-        keymap = {}
-        for name, val in mapping.items():
-            if not isinstance(val, Expression):
-                raise TypeError("substitution values must be expressions")
-            if chart is None:
-                chart = val.chart
-            elif val.chart != chart:
-                raise ChartMismatch("substitution values disagree on chart")
-            keymap[self.chart.key_of(name)] = val
-        if chart is None:
-            chart = self.chart
-        for w in self.variables():
+        ch = self.chart
+        keymap = {
+            ch.key_of(name): require_chart(val, ch, "a substitution value")
+            for name, val in mapping.items()
+        }
+        present = self.variables()
+        for w in present:
             if w[0] == KIND_DERIV:
-                fn = self.chart.functions[w[1]]
+                fn = ch.functions[w[1]]
                 for a in fn.args:
-                    if self.chart.key_of(a) in keymap:
+                    if ch.key_of(a) in keymap:
                         raise ArgumentEscape(
                             f"cannot substitute under the opaque symbol {fn.name!r}"
                         )
-
-        def image(k):
-            got = keymap.get(k)
-            if got is not None:
-                return got
-            if k[0] == KIND_DERIV:
-                fidx = chart.key_of(self.chart.functions[k[1]].name)[1]
-                return Expression.from_key(chart, (KIND_DERIV, fidx, k[2], k[3]))
-            return Expression.var(chart, self.chart.var_name(k))
-
-        return self.map_vars({k: image(k) for k in self.variables()}, chart)
+        image = {k: Expression.from_key(ch, k) for k in present}
+        return self.map_vars(image | keymap, ch)
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a point given as {name: Fraction}."""

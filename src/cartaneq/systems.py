@@ -7,7 +7,6 @@ to the flat model exactly when every residual vanishes identically.
 from __future__ import annotations
 
 from .chart import Chart
-from .errors import DomainError, VanishingJacobian
 from .expr import Expression, require_chart
 from .forms import VectorField
 from .ode2 import FlatnessReport
@@ -74,42 +73,6 @@ def check_flat_ode_system(F1: Expression, F2: Expression) -> FlatnessReport:
         + d(F1, "dx1") * d(F2, "dx1")
     )
     return FlatnessReport("odesys", [r1, r2, r3, r4, r5, r6, r7, r8])
-
-
-def flat_system_under_point_transform(phi1: Expression,
-                                      phi2: Expression):
-    """Right-hand sides satisfied by solutions of Y'' = 0 with Y = phi(x).
-
-    Differentiating Y = phi(t, x) twice in t along solutions gives
-    0 = J xdd + D0^2 phi with J the x-Jacobian of phi, so the transformed
-    system is x'' = -J^inverse D0^2 phi.  An independent oracle for the
-    flatness test: its output must pass all eight residuals.
-    """
-    ch = odesys_chart()
-    phi1 = require_chart(phi1, ch, "phi1")
-    phi2 = require_chart(phi2, ch, "phi2")
-    for name, e in (("phi1", phi1), ("phi2", phi2)):
-        bad = {ch.key_of("dx1"), ch.key_of("dx2")} & e.variables()
-        if bad:
-            raise DomainError(f"{name} must not depend on the velocities")
-
-    D0 = VectorField(ch, {
-        "t": 1,
-        "x1": Expression.var(ch, "dx1"),
-        "x2": Expression.var(ch, "dx2"),
-    })
-    J = [
-        [phi1.partial("x1"), phi1.partial("x2")],
-        [phi2.partial("x1"), phi2.partial("x2")],
-    ]
-    detJ = J[0][0] * J[1][1] - J[0][1] * J[1][0]
-    if detJ.is_zero:
-        raise VanishingJacobian("the point transformation is singular")
-    A1 = D0(D0(phi1))
-    A2 = D0(D0(phi2))
-    F1 = -(J[1][1] * A1 - J[0][1] * A2) / detJ
-    F2 = -(J[0][0] * A2 - J[1][0] * A1) / detJ
-    return F1, F2
 
 
 def check_flat_pde_system(f11: Expression, f12: Expression,

@@ -23,7 +23,6 @@ from cartaneq import (
     check_flat_ode_system,
     check_flat_pde_system,
     contact_prolongation_ode3,
-    flat_system_under_point_transform,
     ode2,
     ode2_chart,
     ode3,
@@ -38,7 +37,11 @@ from cartaneq import (
 from cartaneq.parser import parse_expression, render_text
 
 from conftest import point_for, random_expression, seeded
-from oracles import check_absorption_against_brute_force, numeric_structure
+from oracles import (
+    check_absorption_against_brute_force,
+    flat_system_under_point_map,
+    numeric_structure,
+)
 
 BASE = ode2_chart()
 
@@ -208,7 +211,7 @@ def test_criterion_6_ode_system_flatness():
         q = lambda: rng.randint(-2, 2)
         phi1 = a * x1 + b * x2 + q() * x1 * x1 + q() * t + q()
         phi2 = c * x1 + d * x2 + q() * x2 * x2 + q() * t * t
-        F1, F2 = flat_system_under_point_transform(phi1, phi2)
+        F1, F2 = flat_system_under_point_map(t, phi1, phi2)
         assert check_flat_ode_system(F1, F2).flat
 
 

@@ -4,8 +4,10 @@ Everything goes through cli.main(argv) so the tests see exactly the bytes a
 shell user would, including exit codes.
 """
 
+import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -87,6 +89,17 @@ def test_leftover_before_the_command_is_the_top_level_parsers(capsys):
     assert err.startswith("usage: cartaneq [-h]")
     assert err.splitlines()[-1] == (
         "cartaneq: error: unrecognized arguments: --bogus")
+
+
+def test_leftover_before_the_problem_is_the_check_flat_parsers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-flat", "--bogus", "ode2", "--f=x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "usage: cartaneq check-flat [-h] {ode2,odesys,pdesys}")
+    assert err.splitlines()[-1] == (
+        "cartaneq check-flat: error: unrecognized arguments: --bogus")
 
 
 # -- invariants / structure / syzygies ----------------------------------
@@ -252,17 +265,21 @@ def test_max_prolong_is_not_an_option(capsys):
     assert "unrecognized arguments: --max-prolong" in capsys.readouterr().err
 
 
-def fresh_cli(argv, **kwargs):
-    """``python -m cartaneq.cli`` in a new interpreter on this cartaneq."""
+def fresh_python(argv, **kwargs):
+    """``python *argv`` in a new interpreter on this cartaneq."""
     env = dict(os.environ)
     src = str(Path(cartaneq.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "cartaneq.cli", *argv],
-        env=env, timeout=60, **kwargs,
+        [sys.executable, *argv], env=env, timeout=60, **kwargs,
     )
+
+
+def fresh_cli(argv, **kwargs):
+    """``python -m cartaneq.cli`` in a new interpreter on this cartaneq."""
+    return fresh_python(["-m", "cartaneq.cli", *argv], **kwargs)
 
 
 def test_closed_stdout_exits_quietly():
@@ -303,6 +320,61 @@ def test_readme_cli_examples_run(capsys):
         capsys.readouterr()
 
 
+def command_parsers():
+    """(command words, parser) of every subcommand and check-flat problem."""
+    def walk(words, parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    yield words + [name], child
+                    yield from walk(words + [name], child)
+    return list(walk([], cli._build_parser()))
+
+
+def test_every_command_declares_its_inputs(capsys, monkeypatch):
+    # argparse wraps its usage lines to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = command_parsers()
+    assert len(commands) == 10
+    examples = readme_cli_examples()
+    for words, parser in commands:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(words + ["-h"])
+        assert exc.value.code == 0, words
+        usage = capsys.readouterr().out.split("\n\n", 1)[0]
+        assert usage.startswith(f"usage: cartaneq {' '.join(words)} [-h]")
+        assert any(argv[:len(words)] == words for argv in examples), words
+        inputs = parser.get_default("inputs")
+        if inputs is None:
+            # check-flat itself only chooses a problem
+            assert "--" not in usage
+            continue
+        flags = {"--" + flag for flag in inputs} | {"--format"}
+        assert set(re.findall(r"--[\w-]+", usage)) == flags, words
+
+
+def readme_library_blocks():
+    """The Python blocks of README's Library section."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## Library\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return [part.split("```", 1)[0] for part in section.split("```python\n")[1:]]
+
+
+def test_readme_library_blocks_run_alone():
+    # each block in a fresh interpreter prints what its comments say
+    blocks = readme_library_blocks()
+    assert len(blocks) == 2
+    for block in blocks:
+        prints = [line for line in block.splitlines()
+                  if line.startswith("print(")]
+        assert prints and all("  # " in line for line in prints)
+        want = [line.split("  # ", 1)[1] for line in prints]
+        proc = fresh_python(["-c", block], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == want
+
+
 # -- determinism ---------------------------------------------------------
 
 def test_output_is_bit_stable(capsys):
@@ -331,6 +403,7 @@ ONE_PROCESS_CALLS = [
     (2, ["check-flat", "ode2", "--f=1/(x-x)"]),
     (2, ["check-flat", "ode2", "--f=x", "--F1=y"]),
     (2, ["--bogus", "check-flat", "ode2", "--f=x"]),
+    (2, ["check-flat", "--bogus", "ode2", "--f=x"]),
     (3, ["check-flat", "ode2", "--f=x^513"]),
     (0, ["painleve", "--f", "6*y^2 + x"]),
     (0, ["check-flat", "odesys", "--F1", "dx2^3", "--F2", "0"]),

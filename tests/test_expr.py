@@ -299,6 +299,12 @@ def test_subs_coords():
     e = x * y + p
     got = e.subs_coords({"y": x + 1})
     assert got == x * (x + 1) + p
+    # a zero value is an image like any other; values live on e's chart
+    assert e.subs_coords({"y": Expression.const(base, 0)}) == p
+    with pytest.raises(ChartMismatch):
+        e.subs_coords({"y": Expression.var(Chart(coords=("x", "y")), "x")})
+    with pytest.raises(TypeError):
+        e.subs_coords({"y": 2})
     # substituting under an opaque symbol is rejected
     ch = Chart(coords=("x", "y"), functions=[("g", ("x", "y"))])
     with pytest.raises(ArgumentEscape):
