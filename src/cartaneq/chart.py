@@ -16,6 +16,8 @@ and f_px are the same variable.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .errors import UnknownName
 
 # Kind tags for variable keys.
@@ -24,31 +26,14 @@ KIND_PARAM = 1
 KIND_DERIV = 2
 
 
-class OpaqueFunction:
+class OpaqueFunction(namedtuple("OpaqueFunction", "name args")):
     """An unknown function symbol with a fixed ordered argument list.
 
     Only the arguments declared here can produce nonzero partials; a
     derivative with respect to any other variable is identically zero.
     """
 
-    __slots__ = ("name", "args")
-
-    def __init__(self, name: str, args: tuple[str, ...]):
-        self.name = name
-        self.args = tuple(args)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OpaqueFunction)
-            and self.name == other.name
-            and self.args == other.args
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.args))
-
-    def __repr__(self):
-        return f"OpaqueFunction({self.name!r}, args={self.args!r})"
+    __slots__ = ()
 
 
 class Chart:
@@ -57,28 +42,18 @@ class Chart:
     ``coords`` and ``params`` together form the basis directions of
     differential forms (parameters are differentiated like coordinates, e.g.
     da3 is a legitimate 1-form).  ``functions`` declares the opaque symbols
-    available on the chart; every argument must be a declared coordinate.
+    available on the chart as ``(name, args)`` pairs, ``OpaqueFunction``
+    among them; every argument must be a declared coordinate.
     """
 
-    __slots__ = (
-        "coords",
-        "params",
-        "functions",
-        "_index",
-        "_hash",
-    )
+    __slots__ = ("coords", "params", "functions", "_index")
 
     def __init__(self, coords, params=(), functions=()):
         self.coords = tuple(coords)
         self.params = tuple(params)
-        fns = []
-        for item in functions:
-            if isinstance(item, OpaqueFunction):
-                fns.append(item)
-            else:
-                name, args = item
-                fns.append(OpaqueFunction(name, tuple(args)))
-        self.functions = tuple(fns)
+        self.functions = tuple(
+            OpaqueFunction(name, tuple(args)) for name, args in functions
+        )
 
         names = {}
         for i, c in enumerate(self.coords):
@@ -99,7 +74,6 @@ class Chart:
                         f"argument {a!r} of {fn.name!r} is not a coordinate"
                     )
         self._index = names
-        self._hash = hash((self.coords, self.params, self.functions))
 
     # ------------------------------------------------------------------
     # identity
@@ -113,7 +87,7 @@ class Chart:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.coords, self.params, self.functions))
 
     def __repr__(self):
         return (

@@ -49,10 +49,13 @@ class DifferentialForm:
         self.degree = degree
         clean = {}
         if comps:
+            dim = chart.dim
             for idx, c in comps.items():
                 idx = tuple(idx)
                 if len(idx) != degree or list(idx) != sorted(set(idx)):
                     raise ValueError(f"bad index tuple {idx!r} for degree {degree}")
+                if idx and not (0 <= idx[0] and idx[-1] < dim):
+                    raise UnknownName(f"{idx!r} holds an index outside the basis")
                 if not c.is_zero:
                     clean[idx] = c
         self.comps = clean

@@ -24,16 +24,16 @@ hands back the quotients it already holds:
 
 1. equal operands;
 2. trial exact division, smaller operand first;
-3. a certificate that specializes all variables but one at a point drawn
-   from the operands themselves, computes mod the prime 2^61 - 1, and can
-   prove single variables absent from the gcd; it tries the shared
-   variables in key order and stops at the first it cannot prove absent;
+3. a certificate that specializes all variables but one at one point
+   drawn from the operands themselves, computes mod the prime 2^61 - 1,
+   and can prove single variables absent from the gcd; it tries the
+   shared variables in key order and stops at the first it cannot;
 4. the heuristic gcd GCDHEU of Char, Geddes and Gonnet (J. Symbolic
    Comput. 7, 1989): evaluate at a large integer, take the integer gcd,
    interpolate back and accept only a result that divides both operands;
-5. when the heuristic gives up, a primitive pseudo-remainder sequence in
-   one chosen variable, whose quotients are divided afresh.  This
-   fallback is counted in ``prs_fallbacks``.
+5. when the heuristic gives up, a primitive pseudo-remainder sequence
+   that pseudo-divides ``Polynomial``s in one chosen variable, whose
+   quotients are divided afresh.  It is counted in ``prs_fallbacks``.
 
 Every stage depends only on its operands, never on earlier calls: there
 is no memo table, the operands are used in the order given, and a
@@ -486,17 +486,9 @@ def exact_div(a: Polynomial, b: Polynomial):
         raise DivisionByZero("polynomial division by zero")
     if a.is_zero:
         return _ZERO
-    if b.is_const:
-        bc = b.terms[0][1]
-        if bc in (1, -1):
-            return a.scale(bc)
-        out = []
-        for m, c in a.terms:
-            q, r = divmod(c, bc)
-            if r:
-                return None
-            out.append((m, q))
-        return Polynomial(tuple(out))
+    bm, bc = b.terms[0]
+    if not bm and bc in (1, -1):
+        return a.scale(bc)
 
     # The remainder is a's terms, read in order, plus the products of the
     # quotient with b's tail, kept in a dict and a heap of their negated
@@ -510,7 +502,6 @@ def exact_div(a: Polynomial, b: Polynomial):
     deg = _degree(terms)
     if _degree(b.terms) > deg:
         return None
-    bm, bc = b.terms[0]
     shift, top = _shifts(a.variables() | b.variables(), deg.bit_length())
     akeys = [_pack(m, shift, top) for m, _ in terms]
     bkey = _pack(bm, shift, top)
@@ -557,7 +548,6 @@ def exact_div(a: Polynomial, b: Polynomial):
 # gcd
 
 _P = (1 << 61) - 1  # a Mersenne prime: the certificate computes mod _P
-_CERT_TRIES = 8
 _HEU_TRIES = 6
 
 # gcds the heuristic gave up on, finished by the pseudo-remainder sequence
@@ -600,23 +590,19 @@ def _gcd_degree_mod_p(f, g) -> int:
 def _certify_var_absent(a: Polynomial, b: Polynomial, key) -> bool:
     """Try to prove deg_key(gcd(a, b)) == 0 by univariate specialization.
 
-    If a point keeps the leading coefficients of both operands in ``key``
-    nonzero mod _P, any common divisor keeps its ``key``-degree under the
-    specialization, so a degree-zero gcd of the images settles the
-    question.  The points are drawn from a generator seeded with the
-    operands, so the verdict depends on nothing else.  False means
-    inconclusive, never "present".
+    The other variables are set to one point mod _P, drawn from a
+    generator seeded with the operands, so the verdict depends on nothing
+    else.  If both leading coefficients in ``key`` stay nonzero there, any
+    common divisor keeps its ``key``-degree under the specialization, so a
+    degree-zero gcd of the images settles the question.  False means
+    inconclusive (a leading coefficient vanished, say), never "present".
     """
     rng = random.Random(hash((a, b, key)))
     others = sorted((a.variables() | b.variables()) - {key})
-    for _ in range(_CERT_TRIES):
-        vals = {k: rng.randrange(1, _P) for k in others}
-        fa = _image_mod_p(a, key, vals)
-        fb = _image_mod_p(b, key, vals)
-        if not (fa[-1] and fb[-1]):
-            continue  # a leading coefficient vanished, pick a new point
-        return _gcd_degree_mod_p(fa, fb) == 0
-    return False
+    vals = {k: rng.randrange(1, _P) for k in others}
+    fa = _image_mod_p(a, key, vals)
+    fb = _image_mod_p(b, key, vals)
+    return bool(fa[-1] and fb[-1]) and _gcd_degree_mod_p(fa, fb) == 0
 
 
 def _eval_var(p: Polynomial, key, xi: int) -> Polynomial:
@@ -702,83 +688,44 @@ def _heu_gcd(a: Polynomial, b: Polynomial):
     return None
 
 
-def _to_univariate(p: Polynomial, key):
-    """Coefficient list of p in ``key``, ascending, entries Polynomial."""
-    n = p.degree_in(key)
-    buckets = [{} for _ in range(n + 1)]
+def _coeffs(p: Polynomial, key):
+    """{exponent: coefficient} of p as a polynomial in ``key``; taking the
+    same power of ``key`` out of terms keeps them in order, so none sorts."""
+    out = {}
     for m, c in p.terms:
         e0 = 0
-        rest = []
-        for k, e in m:
+        for i, (k, e) in enumerate(m):
             if k == key:
                 e0 = e
-            else:
-                rest.append((k, e))
-        nm = tuple(rest)
-        bucket = buckets[e0]
-        bucket[nm] = bucket.get(nm, 0) + c
-    return [Polynomial.from_dict(b) for b in buckets]
+                m = m[:i] + m[i + 1:]
+                break
+        out.setdefault(e0, []).append((m, c))
+    return {e: Polynomial(tuple(t)) for e, t in out.items()}
 
 
-def _from_univariate(coeffs, key) -> Polynomial:
-    d = {}
-    for e, p in enumerate(coeffs):
-        for m, c in p.terms:
-            if e:
-                nm = _mmul(m, ((key, e),))
-            else:
-                nm = m
-            d[nm] = d.get(nm, 0) + c
-    return Polynomial.from_dict(d)
+def _content(p: Polynomial, key):
+    """(c, p/c), c the gcd of p's coefficients in ``key``, taken in
+    ascending powers: in the order the terms come it can cost 4x more."""
+    cs = _coeffs(p, key)
+    c = _ZERO
+    for e in sorted(cs):
+        c = gcd(c, cs[e])
+        if c == _ONE:
+            return c, p
+    return c, exact_div(p, c)
 
 
-def _trim(coeffs):
-    while coeffs and coeffs[-1].is_zero:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_list_gcd(ps) -> Polynomial:
-    g = _ZERO
-    for p in ps:
-        g = gcd(g, p)
-        if g == _ONE:
-            return g
-    return g
-
-
-def _primitive_univ(coeffs):
-    """Strip the coefficient-ring content from a univariate poly."""
-    cont = _poly_list_gcd(coeffs)
-    if cont.is_zero or cont == _ONE:
-        return coeffs, cont
-    return [exact_div(c, cont) for c in coeffs], cont
-
-
-def _pseudo_rem(f, g):
-    """Pseudo-remainder of univariate polys over the polynomial ring."""
-    f = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(f) - 1 >= dg and f:
-        lf = f[-1]
-        off = len(f) - 1 - dg
-        f = [lg * c for c in f[:-1]]
-        for i in range(dg):
-            f[off + i] = f[off + i] - lf * g[i]
-        _trim(f)
-    return f
-
-
-def _univ_prs_gcd(f, g):
-    """Primitive remainder sequence gcd of two primitive univariate polys."""
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        r = _pseudo_rem(f, g)
-        if r:
-            r, _ = _primitive_univ(r)
-        f, g = g, r
+def _prem(f: Polynomial, g: Polynomial, key) -> Polynomial:
+    """Pseudo-remainder of f by g in ``key``: while deg f >= deg g, f
+    becomes f lc(g) - g lc(f) key^(deg f - deg g)."""
+    cg = _coeffs(g, key)
+    dg = max(cg)
+    while f.terms:
+        cf = _coeffs(f, key)
+        df = max(cf)
+        if df < dg:
+            break
+        f = f * cg[dg] - g * (cf[df] * Polynomial.var(key, df - dg))
     return f
 
 
@@ -792,12 +739,16 @@ def _prs_gcd(a: Polynomial, b: Polynomial, shared) -> Polynomial:
         return (min(da, db), da + db)
 
     key = min(shared, key=cost)
-    ua, ub = _to_univariate(a, key), _to_univariate(b, key)
-    ua, conta = _primitive_univ(ua)
-    ub, contb = _primitive_univ(ub)
-    gp = _univ_prs_gcd(ua, ub)
-    gp, _ = _primitive_univ(gp)
-    g = _from_univariate(gp, key) * gcd(conta, contb)
+    ca, a = _content(a, key)
+    cb, b = _content(b, key)
+    if a.degree_in(key) < b.degree_in(key):
+        a, b = b, a
+    while b.terms:
+        r = _prem(a, b, key)
+        if r.terms:
+            r = _content(r, key)[1]
+        a, b = b, r
+    g = _content(a, key)[1] * gcd(ca, cb)
     return g.monic_sign()
 
 

@@ -186,6 +186,26 @@ def test_vector_field_rejects_an_index_past_the_basis_when_built():
         VectorField(CH, {"f": 1})
 
 
+def test_form_rejects_a_negative_index():
+    # -1 would otherwise render as dp and express as the last direction
+    one = Expression.const(ode2_chart(), 1)
+    with pytest.raises(UnknownName):
+        DifferentialForm(ode2_chart(), 1, {(-1,): one})
+    with pytest.raises(UnknownName):
+        DifferentialForm(ode2_chart(), 2, {(-1, 0): one})
+
+
+def test_form_rejects_an_index_past_the_basis_when_built():
+    # (7,) used to pass here and fail later in Coframe.express
+    one = Expression.const(ode2_chart(), 1)
+    with pytest.raises(UnknownName):
+        DifferentialForm(ode2_chart(), 1, {(7,): one})
+    with pytest.raises(UnknownName):
+        DifferentialForm(ode2_chart(), 2, {(1, 3): one})
+    # the last direction itself is a basis index
+    assert not DifferentialForm(ode2_chart(), 2, {(1, 2): one}).is_zero
+
+
 def test_vector_field_rejects_a_coefficient_from_another_chart():
     with pytest.raises(ChartMismatch):
         VectorField(ode2_chart(), {"x": Expression.var(CH, "p")})

@@ -5,6 +5,7 @@ not depend on; they are skipped where SymPy is not installed.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -56,6 +57,26 @@ def test_prs_fallback_is_counted_and_agrees(monkeypatch):
     assert poly.prs_fallbacks > before
     assert qa == X ** 2 + Y + Polynomial.const(2)
     assert qb == X * Z - Y ** 2 + Polynomial.const(5)
+
+
+def test_prs_fallback_divides_a_nonzero_remainder(monkeypatch):
+    # both products have degree 2 in x, the variable the fallback picks,
+    # and the first pseudo-remainder is a nonzero multiple of the gcd
+    g = X + Y + ONE
+    qa, qb = X - Y, X + Y ** 2 + Polynomial.const(3)
+    remainders = []
+    prem = poly._prem
+
+    def recorded(f, h, key):
+        remainders.append(prem(f, h, key))
+        return remainders[-1]
+
+    monkeypatch.setattr(poly, "_prem", recorded)
+    monkeypatch.setattr(poly, "_heu_gcd", lambda a, b: None)
+    before = poly.prs_fallbacks
+    assert cofactors(g * qa, g * qb) == (g, qa, qb)
+    assert poly.prs_fallbacks > before
+    assert any(not r.is_zero for r in remainders)
 
 
 def test_a_unit_operand_takes_no_content(monkeypatch):
@@ -149,14 +170,19 @@ polys = st.dictionaries(
 ).map(from_exponents)
 
 
-def sympy_gcd(a, b):
+def to_sympy(p):
     sp = pytest.importorskip("sympy")
     gens = sp.symbols(f"v0:{NVARS}")
-    pa = sp.Poly.from_dict(exponents(a) or {(0,) * NVARS: 0}, *gens)
-    pb = sp.Poly.from_dict(exponents(b) or {(0,) * NVARS: 0}, *gens)
-    return from_exponents(
-        {e: int(c) for e, c in sp.gcd(pa, pb).as_dict().items()}
-    )
+    return sp.Poly.from_dict(exponents(p) or {(0,) * NVARS: 0}, *gens)
+
+
+def from_sympy(p):
+    return from_exponents({e: int(c) for e, c in p.as_dict().items()})
+
+
+def sympy_gcd(a, b):
+    sp = pytest.importorskip("sympy")
+    return from_sympy(sp.gcd(to_sympy(a), to_sympy(b)))
 
 
 @given(polys, polys, polys)
@@ -202,3 +228,49 @@ def test_cofactors_multiply_back_to_the_operands(a, b, f):
     assert cofactors(b, a) == (g, qb, qa)
     assert g.lead_coeff > 0
     assert exact_div(g, sympy_gcd(a, b)) in (ONE, -ONE)
+
+
+# ----------------------------------------------------------------------
+# the fallback alone, the heuristic giving up on every call
+
+# the remainder sequence grows its coefficients fast: on products of the
+# operands above with six-digit coefficients it can run for minutes
+small_polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in range(NVARS))),
+    st.integers(-9, 9), max_size=4,
+).map(from_exponents)
+
+
+@given(small_polys, small_polys, small_polys)
+@example(X - Y, X + Y ** 2 + Polynomial.const(3), X + Y + ONE)
+@settings(max_examples=150, deadline=None)
+def test_prs_fallback_matches_sympy(a, b, g):
+    assume(not g.is_zero and not (a.is_zero and b.is_zero))
+    a, b = g * a, g * b
+    before = poly.prs_fallbacks
+    with mock.patch.object(poly, "_heu_gcd", return_value=None) as heu:
+        got, qa, qb = cofactors(a, b)
+    assert got * qa == a and got * qb == b
+    assert exact_div(got, sympy_gcd(a, b)) in (ONE, -ONE)
+    # the contents recurse into cofactors, so one gcd can give up often;
+    # every time, the fallback finishes it
+    assert poly.prs_fallbacks - before == heu.call_count
+
+
+@given(polys, polys, st.integers(0, NVARS - 1))
+@settings(max_examples=100, deadline=None)
+def test_prem_matches_sympy(f, g, v):
+    assume(not g.is_zero)
+    sp = pytest.importorskip("sympy")
+    key = KEYS[v]
+    got = poly._prem(f, g, key)
+    df, dg = f.degree_in(key), g.degree_in(key)
+    assert f.is_zero or got.is_zero or got.degree_in(key) < dg
+    want = from_sympy(sp.Poly(sp.prem(to_sympy(f).as_expr(),
+                                      to_sympy(g).as_expr(),
+                                      sp.Symbol(f"v{v}")),
+                              *sp.symbols(f"v0:{NVARS}")))
+    # SymPy multiplies f by lc(g)^(df - dg + 1) up front, _prem by lc(g)
+    # once a step, and a step can drop the degree by more than one
+    lg = poly._coeffs(g, key)[dg]
+    assert any(lg ** j * got == want for j in range(max(df - dg, 0) + 2))

@@ -208,10 +208,33 @@ def _to_sympy(p, sp, gens):
     return sp.Poly.from_dict(exps or {(0,) * len(gens): 0}, *gens)
 
 
-# sp.cancel expands the whole text before it cancels, and a reduced result
-# of a few thousand terms can take it seconds to tens of seconds; below
-# this many terms (numerator plus denominator) it stays under a second
+# sp.cancel expanded the whole text before it cancelled, and a reduced
+# result of a few thousand terms could take it seconds to tens of seconds;
+# the checks below expand the same text, so they keep to results under
+# this many terms (numerator plus denominator)
 CANCEL_GUARD = 200
+
+
+def _assert_coprime(f, g, gens, rng):
+    """No factor of positive degree divides both integer Polys f and g.
+
+    Such a factor has positive degree in some variable v.  At a point of
+    the other variables where neither leading coefficient in v vanishes,
+    it keeps that degree and divides both images, so a constant univariate
+    gcd of the images there, for every v, rules it out.
+    """
+    sp, _ = _sympy()
+    for v in gens:
+        if not (f.degree(v) and g.degree(v)):
+            continue
+        for _ in range(20):
+            point = {u: rng.randint(-10 ** 6, 10 ** 6) for u in gens if u != v}
+            fv, gv = f.eval(point), g.eval(point)
+            if fv.degree() == f.degree(v) and gv.degree() == g.degree(v):
+                break
+        else:
+            raise AssertionError(f"no point keeps both degrees in {v}")
+        assert sp.gcd(fv, gv).degree() == 0
 
 
 @given(texts())
@@ -225,6 +248,11 @@ CANCEL_GUARD = 200
           "*1^4/(-y/x - x/4^0*0^4 + y/4.5^0*8)^0 - p/(-6/y*4.25 - x/9.25^3*x^4"
           " - 9.05^4/5.5^0*x^4)^4*(-y^4/10/x))^4*(-p/p^1)^4 + ((-p^3*12^3*x"
           " + x^0*5.05^4)^3*8.0^1)^1/(0.5 + y*x)", False))
+# sp.cancel raises HeuristicGCDFailed on this draw: SymPy's sparse gcd
+# has no fallback, and its dense one takes it about 25 s
+@example(("x*x*x + x*x*(0.25^2*y + (0*0*x + 0 + 8/5.05^2*1)*(-0*0*0 + 5*7)"
+          "*12) + (-x*12*(-x*x^4/p^4)^4 + 0)^4*x/(-(-y/0.05*1.5 + 1*p*x^3"
+          " - 11) - x^4)", False))
 @settings(max_examples=100, deadline=None)
 def test_parse_matches_sympy_cancel(case):
     text, zero_div = case
@@ -258,12 +286,12 @@ def test_parse_matches_sympy_cancel(case):
     if got.size > CANCEL_GUARD:
         return
 
-    want = sp.cancel(tree)
-    num, den = (sp.Poly(part, *gens) for part in sp.fraction(sp.together(want)))
+    # the text as one unreduced fraction; the cross products prove got
+    # equal to it, and the coprime pair proves got reduced
+    num, den = (sp.Poly(part, *gens) for part in sp.fraction(sp.together(tree)))
     got_num, got_den = _to_sympy(got.num, sp, gens), _to_sympy(got.den, sp, gens)
-    if num.is_zero:
-        assert got.is_zero and got_den == sp.Poly(1, *gens)
+    assert (got_num * den - got_den * num).is_zero
+    if got.is_zero:
+        assert got_den == sp.Poly(1, *gens)
         return
-    # both pairs are reduced, so they differ by one rational factor
-    c = num.LC() / got_num.LC()
-    assert num == got_num * c and den == got_den * c
+    _assert_coprime(got_num, got_den, gens, rng)
