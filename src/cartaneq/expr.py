@@ -10,16 +10,19 @@ Derivatives treat opaque function symbols through the chain rule: the
 partial of f_I along an argument coordinate v is the symbol f_{Iv}, and
 zero along anything else.
 
-Two reductions cancel only what can be shared.  A partial derivative
+Three reductions cancel only what can be shared.  A partial derivative
 reduces against gcd(D, D') of its denominator D, which holds every
 factor the quotient rule's numerator can share with its denominator
 (see ``Expression.partial``).  The image of a polynomial under a
 ``VariableMap`` brings its denominator groups over their lcm and
-reduces once.
+reduces once.  The image of a one-term polynomial c*m is c times the
+reduced image of m, so it loses integer content alone: c and the
+denominator's content cancel, and no polynomial gcd is taken.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import poly
@@ -356,7 +359,9 @@ class VariableMap:
     ``chart``.  The image of a monomial is that of its prefix times the
     image of one power; both are kept for every monomial and power mapped,
     so expressions sharing monomials or powers share the work.  The term
-    images of a polynomial are summed in one dict per denominator.
+    images of a polynomial are summed in one dict per denominator; a
+    one-term polynomial scales its monomial's image and cancels integer
+    content alone.
     """
 
     def __init__(self, chart: Chart, image_of_key):
@@ -378,6 +383,14 @@ class VariableMap:
         return got
 
     def _poly(self, p: Polynomial) -> Expression:
+        if len(p) == 1:
+            # c times a kept image n/d: n/d is reduced, integer content
+            # included, so gcd(c*n, d) = gcd(c, content(d)); a zero image
+            # 0/1 stays 0/1
+            (m, c), = p.terms
+            t = self._monomial(m)
+            g = math.gcd(c, t.den.icontent())
+            return Expression(self.chart, t.num.scale(c // g), t.den.div_int(g))
         groups = {}
         for m, c in p.terms:
             t = self._monomial(m)

@@ -152,6 +152,14 @@ def _on_chart(f, chart: Chart) -> Expression:
         ) from None
 
 
+def _mapped_frame(se: Substitution, frame):
+    """The frame fields with every component sent through ``se``."""
+    return [
+        VectorField(se.chart, {i: se(c) for i, c in X.comps.items()})
+        for X in frame
+    ]
+
+
 def run_equivalence_ode2(f: Expression | None = None) -> EquivalenceReport:
     """Invariant coframe of y'' = f; symbolic f when none is given.
 
@@ -169,10 +177,7 @@ def run_equivalence_ode2(f: Expression | None = None) -> EquivalenceReport:
         DifferentialForm(ch, 1, {i: se(c) for i, c in t.comps.items()})
         for t in rep.theta
     ]
-    frame = [
-        VectorField(ch, {i: se(c) for i, c in X.comps.items()})
-        for X in rep.frame
-    ]
+    frame = _mapped_frame(se, rep.frame)
     sym = rep.structure
     structure = StructureEquations(
         ch, sym.a, sym.n, sym.r, {},
@@ -317,19 +322,25 @@ def painleve_map(f: Expression):
     eta = -I1/12 and C = -(1/24) I1^2 - (1/12) X3(X3(I1)) - x, and the
     four closure residuals -12 X_i(C) must vanish (otherwise NotEquivalent
     listing the failures; a flat equation fails the X3 relation with
-    residual 12).
+    residual 12).  One ``Substitution`` of f maps only what this reads,
+    in turn: I2, I3, I1 and the four frame fields, at most 12 of the 24
+    components of the symbolic report.
     """
     from .parser import render_text
 
-    rep = run_equivalence_ode2(f)
-    ch = rep.chart
-    if not rep.I2.is_zero:
-        raise NotInClass("I2", render_text(rep.I2))
-    if not rep.I3.is_zero:
-        raise NotInClass("I3", render_text(rep.I3))
+    sym = _symbolic_report()
+    ch = sym.chart
+    se = Substitution(ch, "f", _on_chart(f, ch))
+    I2 = se(sym.I2)
+    if not I2.is_zero:
+        raise NotInClass("I2", render_text(I2))
+    I3 = se(sym.I3)
+    if not I3.is_zero:
+        raise NotInClass("I3", render_text(I3))
 
-    X1, X2, X3, X4 = rep.frame
-    I1 = rep.I1
+    I1 = se(sym.I1)
+    frame = _mapped_frame(se, sym.frame)
+    X3 = frame[2]
     c24 = Expression.const(ch, Fraction(-1, 24))
     c12 = Expression.const(ch, Fraction(-1, 12))
     x = Expression.var(ch, "x")
@@ -337,7 +348,7 @@ def painleve_map(f: Expression):
     C = c24 * I1 * I1 + c12 * X3(X3(I1)) - x
 
     failures = {}
-    for name, X in zip(("X1", "X2", "X3", "X4"), rep.frame):
+    for name, X in zip(("X1", "X2", "X3", "X4"), frame):
         res = Expression.const(ch, -12) * X(C)
         if not res.is_zero:
             failures[name] = render_text(res)

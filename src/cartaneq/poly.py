@@ -43,7 +43,6 @@ polynomial's hash is computed when asked for, not when it is built.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from heapq import heappop, heappush
 
@@ -590,16 +589,21 @@ def _gcd_degree_mod_p(f, g) -> int:
 def _certify_var_absent(a: Polynomial, b: Polynomial, key) -> bool:
     """Try to prove deg_key(gcd(a, b)) == 0 by univariate specialization.
 
-    The other variables are set to one point mod _P, drawn from a
-    generator seeded with the operands, so the verdict depends on nothing
-    else.  If both leading coefficients in ``key`` stay nonzero there, any
-    common divisor keeps its ``key``-degree under the specialization, so a
-    degree-zero gcd of the images settles the question.  False means
-    inconclusive (a leading coefficient vanished, say), never "present".
+    The other variables are set to one point mod _P, drawn from the hash
+    of the operands, so the verdict depends on nothing else: one 64-bit
+    linear congruential step per variable, in sorted order, gives the
+    value h % (_P - 1) + 1.  If both leading coefficients in ``key`` stay
+    nonzero there, any common divisor keeps its ``key``-degree under the
+    specialization, so a degree-zero gcd of the images settles the
+    question.  False means inconclusive (a leading coefficient vanished,
+    say), never "present".
     """
-    rng = random.Random(hash((a, b, key)))
-    others = sorted((a.variables() | b.variables()) - {key})
-    vals = {k: rng.randrange(1, _P) for k in others}
+    h = hash((a, b, key))
+    vals = {}
+    for k in sorted((a.variables() | b.variables()) - {key}):
+        # Knuth's MMIX multiplier and increment, mod 2^64
+        h = (h * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+        vals[k] = h % (_P - 1) + 1
     fa = _image_mod_p(a, key, vals)
     fb = _image_mod_p(b, key, vals)
     return bool(fa[-1] and fb[-1]) and _gcd_degree_mod_p(fa, fb) == 0

@@ -6,6 +6,8 @@ to the flat model exactly when every residual vanishes identically.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from .chart import Chart
 from .expr import Expression, require_chart
 from .forms import VectorField
@@ -22,11 +24,18 @@ def pdesys_chart() -> Chart:
     return Chart(coords=("x1", "x2", "u", "u1", "u2"))
 
 
-def d(e: Expression, *names: str) -> Expression:
-    """Iterated partial derivative of e along ``names``, in order."""
-    for n in names:
-        e = e.partial(n)
-    return e
+def _partials(e: Expression, prefix: str, order: int):
+    """The partials of e along ``prefix`` 1 and 2, up to ``order``.
+
+    They are keyed by sorted index tuples: ``[1, 2]`` is the partial
+    along prefix1, then prefix2.  Mixed partials commute, so each is
+    taken once, from the entry one index shorter.
+    """
+    out = {(): e}
+    for k in range(1, order + 1):
+        for idx in combinations_with_replacement((1, 2), k):
+            out[idx] = out[idx[:-1]].partial(f"{prefix}{idx[-1]}")
+    return out
 
 
 def check_flat_ode_system(F1: Expression, F2: Expression) -> FlatnessReport:
@@ -39,39 +48,34 @@ def check_flat_ode_system(F1: Expression, F2: Expression) -> FlatnessReport:
     ch = odesys_chart()
     F1 = require_chart(F1, ch, "F1")
     F2 = require_chart(F2, ch, "F2")
-    Dt = VectorField(ch, {
+    # the velocity partials of F1 and F2, and the first ones bound once
+    P, Q = _partials(F1, "dx", 3), _partials(F2, "dx", 3)
+    P1, P2, Q1, Q2 = P[1,], P[2,], Q[1,], Q[2,]
+    D0 = VectorField(ch, {
         "t": 1,
         "x1": Expression.var(ch, "dx1"),
         "x2": Expression.var(ch, "dx2"),
-        "dx1": F1,
-        "dx2": F2,
     })
 
-    r1 = d(F2, "dx1", "dx1", "dx1")
-    r2 = d(F1, "dx2", "dx2", "dx2")
-    r3 = d(F2, "dx2", "dx2", "dx2") - 3 * d(F1, "dx1", "dx2", "dx2")
-    r4 = d(F1, "dx1", "dx1", "dx1") - 3 * d(F2, "dx1", "dx1", "dx2")
-    r5 = d(F1, "dx1", "dx1", "dx2") - d(F2, "dx1", "dx2", "dx2")
-    r6 = (
-        2 * Dt(d(F1, "dx2"))
-        - d(F1, "dx2") * d(F1, "dx1")
-        - d(F2, "dx2") * d(F1, "dx2")
-        - 4 * d(F1, "x2")
-    )
+    def Dt(R, i):
+        """The total derivative D0 + F1 d/ddx1 + F2 d/ddx2 of R[i]."""
+        return D0(R[i,]) + F1 * R[1, i] + F2 * R[i, 2]
+
+    r1 = Q[1, 1, 1]
+    r2 = P[2, 2, 2]
+    r3 = Q[2, 2, 2] - 3 * P[1, 2, 2]
+    r4 = P[1, 1, 1] - 3 * Q[1, 1, 2]
+    r5 = P[1, 1, 2] - Q[1, 2, 2]
+    r6 = 2 * Dt(P, 2) - P2 * P1 - Q2 * P2 - 4 * F1.partial("x2")
     r7 = (
-        -(d(F2, "dx2") ** 2)
-        - 2 * Dt(d(F1, "dx1"))
-        - 4 * d(F2, "x2")
-        + 4 * d(F1, "x1")
-        + 2 * Dt(d(F2, "dx2"))
-        + d(F1, "dx1") ** 2
+        -(Q2 ** 2)
+        - 2 * Dt(P, 1)
+        - 4 * F2.partial("x2")
+        + 4 * F1.partial("x1")
+        + 2 * Dt(Q, 2)
+        + P1 ** 2
     )
-    r8 = (
-        -2 * Dt(d(F2, "dx1"))
-        + d(F2, "dx2") * d(F2, "dx1")
-        + 4 * d(F2, "x1")
-        + d(F1, "dx1") * d(F2, "dx1")
-    )
+    r8 = -2 * Dt(Q, 1) + Q2 * Q1 + 4 * F2.partial("x1") + P1 * Q1
     return FlatnessReport("odesys", [r1, r2, r3, r4, r5, r6, r7, r8])
 
 
@@ -79,13 +83,13 @@ def check_flat_pde_system(f11: Expression, f12: Expression,
                           f22: Expression) -> FlatnessReport:
     """Obstructions for u_ij = f_ij(x, u, u') to flatten to u_ij = 0."""
     ch = pdesys_chart()
-    f11 = require_chart(f11, ch, "f11")
-    f12 = require_chart(f12, ch, "f12")
-    f22 = require_chart(f22, ch, "f22")
+    f11 = _partials(require_chart(f11, ch, "f11"), "u", 2)
+    f12 = _partials(require_chart(f12, ch, "f12"), "u", 2)
+    f22 = _partials(require_chart(f22, ch, "f22"), "u", 2)
 
-    r1 = d(f11, "u2", "u2")
-    r2 = d(f22, "u1", "u1")
-    r3 = d(f12, "u2", "u2") - d(f11, "u1", "u2")
-    r4 = d(f12, "u1", "u1") - d(f22, "u1", "u2")
-    r5 = d(f11, "u1", "u1") - 4 * d(f12, "u1", "u2") + d(f22, "u2", "u2")
+    r1 = f11[2, 2]
+    r2 = f22[1, 1]
+    r3 = f12[2, 2] - f11[1, 2]
+    r4 = f12[1, 1] - f22[1, 2]
+    r5 = f11[1, 1] - 4 * f12[1, 2] + f22[2, 2]
     return FlatnessReport("pdesys", [r1, r2, r3, r4, r5])

@@ -5,12 +5,24 @@ Gaussian elimination, independent of the library's expression
 arithmetic.  The point-map image of the flat ODE system uses that
 arithmetic, but none of the flatness formulas it is checked against.
 The two expression oracles reduce against whole denominators, where the
-library reduces against the factors that can be shared.
+library reduces against the factors that can be shared.  The Painleve
+oracle reads the whole concrete report, where the library maps only
+the components it reads.
 """
 
 from fractions import Fraction
 
-from cartaneq import Chart, Expression, odesys_chart
+from cartaneq import (
+    Chart,
+    Expression,
+    NotEquivalent,
+    NotInClass,
+    VanishingJacobian,
+    ode2_chart,
+    odesys_chart,
+    run_equivalence_ode2,
+)
+from cartaneq.parser import render_text
 from cartaneq.pfaffian import StructureEquations
 from cartaneq.poly import Polynomial
 
@@ -227,3 +239,38 @@ def flat_system_under_point_map(T, X1, X2):
     assert not det.is_zero, "the point map is singular"
     return ((r[0] * M[1][1] - r[1] * M[0][1]) / det,
             (M[0][0] * r[1] - M[1][0] * r[0]) / det)
+
+
+def painleve_map_via_report(f):
+    """(eta, C) for y'' = f, read off the full ``run_equivalence_ode2``
+    report: the invariants from its torsion table and the closure
+    residuals -12 X_i(C) from its frame.  Raises as ``painleve_map``."""
+    rep = run_equivalence_ode2(f)
+    ch = rep.chart
+    if not rep.I2.is_zero:
+        raise NotInClass("I2", render_text(rep.I2))
+    if not rep.I3.is_zero:
+        raise NotInClass("I3", render_text(rep.I3))
+
+    X1, X2, X3, X4 = rep.frame
+    I1 = rep.I1
+    c24 = Expression.const(ch, Fraction(-1, 24))
+    c12 = Expression.const(ch, Fraction(-1, 12))
+    x = Expression.var(ch, "x")
+    eta = c12 * I1
+    C = c24 * I1 * I1 + c12 * X3(X3(I1)) - x
+
+    failures = {}
+    for name, X in zip(("X1", "X2", "X3", "X4"), rep.frame):
+        res = Expression.const(ch, -12) * X(C)
+        if not res.is_zero:
+            failures[name] = render_text(res)
+    if failures:
+        raise NotEquivalent(failures)
+
+    base = ode2_chart()
+    eta = eta.project(base)
+    C = C.project(base)
+    if eta.partial("y").is_zero:
+        raise VanishingJacobian("the recovered eta does not depend on y")
+    return eta, C

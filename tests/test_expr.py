@@ -15,6 +15,7 @@ from cartaneq import (
     VectorField,
     parse_expression,
 )
+from cartaneq import poly
 from cartaneq.expr import Substitution
 
 from conftest import point_for, random_expression, seeded
@@ -281,6 +282,11 @@ def test_substitution_consistent_with_chain_rule_numerically():
 
 @given(quotients_over(NAMES), quotients_over(("x", "y", "p")))
 @example(E("f^2 + x*f_p + f_xy/(f + 1)"), E("(x*p + 1)/(x + y + 1)^3"))
+# one-term images: a coefficient sharing integer content with the image's
+# denominator, a negative one, and a zero image
+@example(E("6*f"), E("x/(2*y + 4)"))
+@example(E("-6*f^2/(4*f_p)"), E("x*p/(2*y + 4)"))
+@example(E("3*f_x/(f + 1)"), E("y*p"))
 @settings(max_examples=60, deadline=None)
 def test_substitution_matches_the_groupwise_sum(e, value):
     try:
@@ -291,6 +297,19 @@ def test_substitution_matches_the_groupwise_sum(e, value):
             groupwise_image(Substitution(CH, "f", value), e)
         return
     assert got == groupwise_image(Substitution(CH, "f", value), e)
+
+
+def test_one_term_images_take_no_polynomial_gcd(monkeypatch):
+    # a one-term numerator alone never reaches the core: cofactors takes
+    # out monomial content first
+    subst = Substitution(CH, "f", E("(x + 1)/(2*y + 4)"))
+    want = [E("3*(x + 1)/(y + 2)"), E("-3*(x + 1)^2/(2*(y + 2)^2)"), E("0")]
+    calls = []
+    raw = poly._gcd_core
+    monkeypatch.setattr(poly, "_gcd_core",
+                        lambda a, b: calls.append((a, b)) or raw(a, b))
+    got = [subst(E(text)) for text in ("6*f", "-6*f^2", "0*f")]
+    assert got == want and calls == []
 
 
 def test_subs_coords():

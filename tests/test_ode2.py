@@ -16,8 +16,12 @@ from cartaneq import (
     VanishingJacobian,
     VectorField,
     check_flat_ode2,
+    check_flat_ode_system,
+    check_flat_pde_system,
     ode2_chart,
+    odesys_chart,
     painleve_map,
+    pdesys_chart,
     pullback_ode2,
     realize_syzygy,
     run_equivalence_ode2,
@@ -28,6 +32,7 @@ from cartaneq.parser import parse_expression, render_text
 from cartaneq.pfaffian import absorb_torsion, distinct_up_to_sign
 
 from conftest import seeded
+from oracles import painleve_map_via_report
 
 BASE = ode2_chart()
 
@@ -261,6 +266,24 @@ def test_each_partial_of_the_rhs_is_taken_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def test_each_partial_of_a_system_rhs_is_taken_once(monkeypatch):
+    ode, pde = odesys_chart(), pdesys_chart()
+    F1 = parse_expression("(x1*dx2^2 + t*dx1^2)/(x2 + dx1 + dx2 + 1)", ode)
+    F2 = parse_expression("(x2*dx1^2 + dx2^2)/(t + x1 + dx1*dx2)", ode)
+    f = [parse_expression(text, pde) for text in (
+        "(u1*u2 + x1)/(u + u2 + 1)", "(u1^2 + x2)/(u1 + u2 + 2)",
+        "u2^3/(x1 + u1 + 3)",
+    )]
+    calls = _recorded_partials(monkeypatch)
+    check_flat_ode_system(F1, F2)
+    # 9 velocity and 2 position partials of each F_i, and the t, x1 and x2
+    # partials of the four first velocity partials
+    assert len(calls) == 34 and len(set(calls)) == len(calls)
+    calls.clear()
+    check_flat_pde_system(*f)
+    assert len(calls) == 15 and len(set(calls)) == len(calls)
+
+
 def test_each_power_of_an_image_is_computed_once(monkeypatch):
     run_equivalence_ode2()
     f = E("(x + y + p + 3)^6")
@@ -295,6 +318,45 @@ def test_painleve_rejects_bad_class_and_flat():
     with pytest.raises(NotEquivalent) as exc:
         painleve_map(E("0"))
     assert exc.value.failures == {"X3": "12"}
+
+
+def _painleve_outcome(route, f):
+    """(eta, C), or the type and payload of the exception raised."""
+    try:
+        return route(f)
+    except (NotInClass, NotEquivalent, VanishingJacobian) as exc:
+        return (type(exc), str(exc), getattr(exc, "invariant", None),
+                getattr(exc, "value", None), getattr(exc, "failures", None))
+
+
+def test_painleve_map_matches_the_report_route():
+    rng = seeded(703)
+    target = E("6*y^2 + x")
+    # the golden corpus's Painleve inputs, then inputs in the class that
+    # fail the closure or leave the class
+    fs = [E(text) for text in (
+        "6*y^2 + x", "6*y^2 + x + 5", "p^3",
+        "(6*y^4 + 12*y^2 - 2*p^2 + x + 8)/(2*y)",
+        "0", "y^2", "x*y", "6*y^2 + 2*x", "2*y^3 + x*y",
+    )]
+    # Painleve I pulled back along eight seeded rational maps
+    x, y = E("x"), E("y")
+    q = lambda: rng.choice((-3, -2, -1, 1, 2, 3))
+    while len(fs) < 17:
+        if len(fs) % 2:
+            eta = (q() * y + q() * x + q()) / (q() * y + q() * x + q())
+        else:
+            eta = (y + q() * x * x) / (q() * x * y + q())
+        if eta.partial("y").is_zero:
+            continue
+        C = Expression.const(BASE, Fraction(q(), rng.randint(1, 3)))
+        fs.append(pullback_ode2(eta, C, target))
+    kinds = set()
+    for f in fs:
+        got = _painleve_outcome(painleve_map, f)
+        assert got == _painleve_outcome(painleve_map_via_report, f), f
+        kinds.add(got[0] if isinstance(got[0], type) else tuple)
+    assert kinds == {tuple, NotInClass, NotEquivalent}
 
 
 def test_pullback_examples():

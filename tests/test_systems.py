@@ -14,7 +14,6 @@ from cartaneq import (
     pdesys_chart,
 )
 from cartaneq.parser import parse_expression, render_text
-from cartaneq.systems import d
 
 from conftest import seeded
 from oracles import flat_system_under_point_map
@@ -29,6 +28,13 @@ def E(text):
 
 def P(text):
     return parse_expression(text, PDE)
+
+
+def d(e, *names):
+    """Iterated partial derivative of e along ``names``, in order."""
+    for n in names:
+        e = e.partial(n)
+    return e
 
 
 def test_flat_system_passes_all_eight_conditions():
