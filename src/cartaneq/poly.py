@@ -15,7 +15,15 @@ upset the order sorts: a sum whose shorter operand brings no new monomial
 keeps the longer operand's order, a derivative keeps its input's order
 (dividing every surviving term by one variable keeps them in order), and
 a product with a one-term operand shifts the other's terms
-(``mul_term``).  Other products add packed ints (``_packed_mul``); a
+(``mul_term``).  Other products (``_packed_mul``) take one of two
+accumulators, which give the same terms in the same order.  A product's
+exponent box holds every exponent vector whose exponent in each variable
+lies between 0 and the sum of the operands' top exponents in it.  When
+the box has no more cells than the product has term pairs, and there are at
+least 256 pairs, the product is dense: it sums in a flat list indexed by
+the exponents in mixed radix and reads the nonzero cells out by total
+degree, with no sort (``_box_mul``).  Any other product adds packed
+ints in a dict and sorts them once (``_dict_mul``).  Either way a
 square runs over the upper triangle of its term pairs.
 
 ``cofactors(a, b)`` returns the gcd over the integers with the quotients
@@ -45,6 +53,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import compress, product
 
 from .errors import DivisionByZero
 
@@ -141,18 +150,56 @@ def _degree(terms):
     return sum(e for _, e in terms[0][0])
 
 
+# A product of fewer term pairs than this always sums in a dict: below it
+# the box's fixed costs (a pass for the top exponents, the list, the walk
+# over every cell) cost more than hashing saves.  With no floor the
+# products of a rational-rhs benchmark round took 1.3-1.4x as long.
+_BOX_MIN_PAIRS = 256
+
+
 def _packed_mul(ta, tb) -> "Polynomial":
-    """Product of two term tuples, each monomial packed into one int.
+    """Product of two term tuples of two or more terms each.
+
+    The exponent box of the product holds every exponent vector whose
+    exponent in each variable lies between 0 and the sum of the operands'
+    top exponents in it.  When it has no more cells than the product has
+    term pairs, and there are at least ``_BOX_MIN_PAIRS`` pairs, the
+    product sums in a flat list over the box (``_box_mul``), so the list
+    is never longer than the pair loop.  Any other product, a sparse one,
+    sums in a dict keyed by packed monomials (``_dict_mul``).  Both
+    return the terms in graded lex order, highest first.
+    """
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    pairs = len(ta) * len(tb)
+    if pairs < _BOX_MIN_PAIRS:
+        keys = {k for t in (ta, tb) for m, _ in t for k, _ in m}
+        return Polynomial(_dict_mul(ta, tb, keys))
+    radix = {}
+    for t in (ta, tb):
+        top = {}
+        for m, _ in t:
+            for k, e in m:
+                if e > top.get(k, 0):
+                    top[k] = e
+        for k, e in top.items():
+            radix[k] = radix.get(k, 1) + e
+    cells = math.prod(radix.values())
+    if cells <= pairs:
+        return Polynomial(_box_mul(ta, tb, radix, cells))
+    return Polynomial(_dict_mul(ta, tb, radix))
+
+
+def _dict_mul(ta, tb, keys):
+    """Terms of a product summed in a dict keyed by packed monomials.
 
     The packing is made for this product alone (Monagan and Pearce, ISSAC
     2009), each field w bits wide with 2^w above the total degree of the
     product.  No field of a product can carry, so monomials multiply by
-    integer addition.  A square (``ta is tb``) adds each square term once
-    and each cross term of the upper triangle twice.
+    integer addition, and one sort of the ints orders the result.  A
+    square (``ta is tb``) adds each square term once and each cross term
+    of the upper triangle twice.
     """
-    if len(ta) > len(tb):
-        ta, tb = tb, ta
-    keys = {k for t in (ta, tb) for m, _ in t for k, _ in m}
     w = (_degree(ta) + _degree(tb)).bit_length()
     shift, top = _shifts(keys, w)
     pb = [(_pack(m, shift, top), c) for m, c in tb]
@@ -185,7 +232,72 @@ def _packed_mul(ta, tb) -> "Polynomial":
                 if e:
                     m.append((key, e))
             out.append((tuple(m), c))
-    return Polynomial(tuple(out))
+    return tuple(out)
+
+
+def _box_mul(ta, tb, radix, cells):
+    """Terms of a product summed in a list over its exponent box.
+
+    ``radix`` gives each variable's number of exponent values in the
+    product.  A monomial's cell is its mixed-radix index, earlier keys
+    more significant, so monomials multiply by adding indices, and
+    ascending indices within one total degree are ascending lex.  The
+    nonzero cells go into one bucket per total degree, and the buckets
+    read from the top degree down, each reversed, are graded lex,
+    highest first, with no comparison sort.  A square (``ta is tb``) adds
+    each square term once and each cross term of the upper triangle
+    twice.
+    """
+    stride = {}
+    s = 1
+    for k in sorted(radix, reverse=True):
+        stride[k] = s
+        s *= radix[k]
+
+    def index(m):
+        i = 0
+        for k, e in m:
+            i += e * stride[k]
+        return i
+
+    pb = [(index(m), c) for m, c in tb]
+    acc = [0] * cells
+    if ta is tb:
+        for i, (a, ca) in enumerate(pb):
+            acc[a + a] += ca * ca
+            ca += ca
+            for b, cb in pb[i + 1:]:
+                acc[a + b] += ca * cb
+    else:
+        for m, ca in ta:
+            a = index(m)
+            for b, cb in pb:
+                acc[a + b] += ca * cb
+
+    # the box in rows along the last variable, whose stride is 1; a head
+    # holds the other variables' exponents as a monomial piece and a degree
+    keys = sorted(radix)
+    last = keys.pop()
+    width = radix[last]
+    tails = [((last, e),) if e else () for e in range(width)]
+    heads = product(*[[(((k, e),) if e else (), e) for e in range(radix[k])]
+                      for k in keys])
+    buckets = [[] for _ in range(sum(radix.values()) - len(radix) + 1)]
+    for start, head in zip(range(0, cells, width), heads):
+        row = acc[start:start + width]
+        if any(row):
+            m = ()
+            tot = 0
+            for piece, e in head:
+                m += piece
+                tot += e
+            for e in compress(range(width), row):
+                buckets[tot + e].append((m + tails[e], row[e]))
+    out = []
+    for bucket in reversed(buckets):
+        bucket.reverse()
+        out += bucket
+    return tuple(out)
 
 
 class Polynomial:
@@ -291,12 +403,18 @@ class Polynomial:
     def __neg__(self):
         return Polynomial(tuple((m, -c) for m, c in self.terms))
 
+    # An operand of another type has no terms.  Reading them in a try
+    # costs the hot path nothing, where an isinstance check would not.
+
     def __add__(self, other):
-        if not self.terms:
+        try:
+            long, short = self.terms, other.terms
+        except AttributeError:
+            return NotImplemented
+        if not long:
             return other
-        if not other.terms:
+        if not short:
             return self
-        long, short = self.terms, other.terms
         if len(long) < len(short):
             long, short = short, long
         # a dict keeps insertion order: updates and deletions leave the
@@ -319,16 +437,25 @@ class Polynomial:
         return Polynomial(tuple(d.items()))
 
     def __sub__(self, other):
+        try:
+            other.terms
+        except AttributeError:
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        if not self.terms or not other.terms:
+        try:
+            tb = other.terms
+        except AttributeError:
+            return NotImplemented
+        ta = self.terms
+        if not ta or not tb:
             return _ZERO
-        if len(self.terms) == 1:
-            return other.mul_term(*self.terms[0])
-        if len(other.terms) == 1:
-            return self.mul_term(*other.terms[0])
-        return _packed_mul(self.terms, other.terms)
+        if len(ta) == 1:
+            return other.mul_term(*ta[0])
+        if len(tb) == 1:
+            return self.mul_term(*tb[0])
+        return _packed_mul(ta, tb)
 
     def scale(self, c: int) -> "Polynomial":
         if c == 0:

@@ -1,11 +1,15 @@
 """Integer polynomial layer: canonical ordering, arithmetic, exact gcd."""
 
+import math
+import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from cartaneq import poly
 from cartaneq.poly import Polynomial, exact_div, gcd, one, zero
 
 X = (0, 0)
@@ -198,6 +202,18 @@ def to_sympy(p, sp):
                     for m, c in p.terms))
 
 
+def to_sympy_poly(p, sp):
+    """p as a SymPy Poly, which multiplies far faster than expand."""
+    at = {k: i for i, k in enumerate(MUL_KEYS)}
+    d = {}
+    for m, c in p.terms:
+        exps = [0] * len(MUL_KEYS)
+        for k, e in m:
+            exps[at[k]] = e
+        d[tuple(exps)] = c
+    return sp.Poly.from_dict(d, sp.symbols(f"v0:{len(MUL_KEYS)}"))
+
+
 X64 = P({((X, 64),): 1})
 Y15 = P({((Y, 15),): 1})
 ONE = one()
@@ -227,6 +243,132 @@ def test_mul_matches_sympy(a, b):
     sp = pytest.importorskip("sympy")
     got = to_sympy(a * b, sp)
     assert sp.expand(got - to_sympy(a, sp) * to_sympy(b, sp)) == 0
+
+
+# ----------------------------------------------------------------------
+# dense products, which sum over their exponent box
+
+nonzero_coeffs = mul_coeffs.map(lambda c: c or 1)
+
+
+@st.composite
+def small_polys(draw, pool):
+    """A constant and one to three monomials in ``pool``."""
+    d = {(): draw(nonzero_coeffs)}
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.dictionaries(st.sampled_from(pool), st.integers(1, 2),
+                                 min_size=1))
+        d[tuple(sorted(m.items()))] = draw(nonzero_coeffs)
+    return P(d)
+
+
+@st.composite
+def dense_products(draw):
+    """Operands in one to five of MUL_KEYS: powers and products of small
+    polynomials in up to three of them, or binomial powers in one whose
+    degrees sit next to field widths.  The second operand is at times the
+    first itself, a square, and the first at times gains a key the
+    second lacks."""
+    keys = draw(st.lists(st.sampled_from(MUL_KEYS), min_size=1, max_size=5,
+                         unique=True))
+    core, rest = keys[:3], keys[3:]
+    if draw(st.booleans()):
+        def operand():
+            p = draw(small_polys(core)) ** draw(st.integers(2, 3))
+            if draw(st.booleans()):
+                p = p * draw(small_polys(core))
+            return p
+    else:
+        x = draw(st.sampled_from(core))
+
+        def operand():
+            binomial = P({((x, 1),): draw(nonzero_coeffs),
+                          (): draw(nonzero_coeffs)})
+            return binomial ** draw(st.sampled_from([15, 16, 31, 32, 63, 64]))
+    a = operand()
+    b = a if draw(st.booleans()) else operand()
+    if rest and draw(st.booleans()):
+        a = a * P({((draw(st.sampled_from(rest)), 1),): 1,
+                   (): draw(nonzero_coeffs)})
+    return a, b
+
+
+class BoxCounter:
+    """Wraps poly._box_mul: counts its calls and checks that no box has
+    more cells than the product has term pairs."""
+
+    def __init__(self):
+        self.calls = 0
+        self.raw = poly._box_mul
+
+    def __call__(self, ta, tb, radix, cells):
+        assert cells == math.prod(radix.values()) <= len(ta) * len(tb)
+        self.calls += 1
+        return self.raw(ta, tb, radix, cells)
+
+
+def boxed_product(a, b):
+    """a * b, and whether it summed over its exponent box."""
+    counter = BoxCounter()
+    with mock.patch.object(poly, "_box_mul", counter):
+        ab = a * b
+    return ab, counter.calls == 1
+
+
+X1_64 = (P({((X, 1),): 1}) + ONE) ** 64
+
+
+@given(dense_products())
+@example((X1_64, X1_64))
+@example((X1_64, X1_64 - P({((X, 64),): 1})))
+@settings(max_examples=150, deadline=None)
+def test_box_products_match_term_by_term_reference(ab):
+    a, b = ab
+    got, boxed = boxed_product(a, b)
+    assume(boxed)
+    assert_canonical(got)
+    assert got == reference_mul(a, b)
+    if a is not b:
+        assert got == boxed_product(b, a)[0]
+
+
+@given(dense_products())
+@settings(max_examples=40, deadline=None)
+def test_box_products_match_sympy(ab):
+    sp = pytest.importorskip("sympy")
+    a, b = ab
+    got, boxed = boxed_product(a, b)
+    assume(boxed)
+    assert to_sympy_poly(got, sp) == to_sympy_poly(a, sp) * to_sympy_poly(b, sp)
+
+
+def test_products_take_the_box_only_when_dense():
+    x, y, p = (P({((k, 1),): 1}) for k in (X, Y, Z))
+    # sparse: a box of 1001^2 cells for four term pairs
+    assert not boxed_product(x ** 1000 + ONE, y ** 1000 + ONE)[1]
+    # dense but below the floor of pairs: 100 pairs in 7^2 cells
+    assert not boxed_product((x + y + ONE) ** 3, (x - y + ONE) ** 3)[1]
+    # the size of a rational right-hand side's products, few pairs or a
+    # box larger than the pairs
+    rng = random.Random(107)
+    a = _random_poly(rng, nterms=12, deg=4)
+    b = _random_poly(rng, nterms=12, deg=4)
+    assert not boxed_product(a, b)[1]
+    a = _random_poly(rng, nterms=40, deg=6)
+    assert len(a) * len(a) >= 256 and not boxed_product(a, a)[1]
+    # f * f_pp of a dense power: 286 * 165 pairs in 19^3 cells
+    f = (x + y + p + ONE) ** 10
+    f_pp = f.derivative(Z).derivative(Z)
+    got, boxed = boxed_product(f, f_pp)
+    assert boxed and got == reference_mul(f, f_pp)
+
+
+def test_other_operand_types_are_refused():
+    p = P({((X, 1),): 1}) + ONE
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((p, 3), (3, p), (zero(), 3), (p, Fraction(1, 2))):
+            with pytest.raises(TypeError):
+                op(left, right)
 
 
 # ----------------------------------------------------------------------
