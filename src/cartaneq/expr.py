@@ -31,6 +31,8 @@ from .errors import ArgumentEscape, ChartMismatch, DivisionByZero, UnknownName
 # bench/tracing.py wraps exact_div and gcd here; expr itself calls neither
 from .poly import Polynomial, exact_div, gcd
 
+_ONE = poly.one()
+
 
 class Expression:
     __slots__ = ("chart", "num", "den")
@@ -139,6 +141,9 @@ class Expression:
         a, b = self.num, self.den
         c, d = other.num, other.den
         if b == d:
+            if b == _ONE:
+                # a sum of polynomials over 1 is already canonical
+                return Expression(self.chart, a + c, b)
             return Expression.make(self.chart, a + c, b)
         g, b1, d1 = poly.cofactors(b, d)
         num = a * d1 + c * b1
@@ -168,6 +173,9 @@ class Expression:
         c, d = other.num, other.den
         if a.is_zero or c.is_zero:
             return Expression.const(self.chart, 0)
+        if b == d == _ONE:
+            # a product of polynomials over 1 is already canonical
+            return Expression(self.chart, a * c, b)
         _, a, d = poly.cofactors(a, d)
         _, c, b = poly.cofactors(c, b)
         return Expression(self.chart, a * c, b * d)

@@ -301,28 +301,48 @@ class VectorField:
 
 
 class Coframe:
-    """A full rank system of 1-forms spanning the cotangent space."""
+    """A full rank system of 1-forms spanning the cotangent space.
+
+    ``inverse`` holds one sparse row per basis direction: row j expands
+    dz^j on the coframe, ``{position in the coframe list: coefficient}``.
+    The constructor finds it by Gauss-Jordan elimination, which is also
+    the full rank check: a singular list raises SingularCoframe.  A
+    caller that already knows the inverse (``pfaffian.prolong`` derives
+    it from the parent system's) builds through ``_from_inverse``, which
+    checks nothing.
+    """
 
     def __init__(self, chart: Chart, forms):
-        self.chart = chart
-        self.forms = list(forms)
+        forms = list(forms)
         n = chart.dim
-        if len(self.forms) != n:
+        if len(forms) != n:
             raise SingularCoframe(
-                f"need {n} one-forms for a coframe, got {len(self.forms)}"
+                f"need {n} one-forms for a coframe, got {len(forms)}"
             )
-        for f in self.forms:
+        for f in forms:
             if f.chart != chart:
                 raise ChartMismatch("coframe forms live on different charts")
             if f.degree != 1:
                 raise ValueError("coframe entries must be 1-forms")
-        # row j of the inverse expands dz^j on the coframe
-        self.inverse = linsolve.invert(
-            [{k: c for (k,), c in f.comps.items()} for f in self.forms], chart
+        inverse = linsolve.invert(
+            [{k: c for (k,), c in f.comps.items()} for f in forms], chart
         )
+        self._init(chart, forms, inverse)
+
+    @classmethod
+    def _from_inverse(cls, chart: Chart, forms, inverse) -> "Coframe":
+        """The coframe of ``forms`` with a known ``inverse``, unchecked."""
+        self = cls.__new__(cls)
+        self._init(chart, list(forms), inverse)
+        return self
+
+    def _init(self, chart, forms, inverse):
+        self.chart = chart
+        self.forms = forms
+        self.inverse = inverse
         self._dz = [
             DifferentialForm(chart, 1, {(i,): c for i, c in row.items()})
-            for row in self.inverse
+            for row in inverse
         ]
 
     def express(self, form: DifferentialForm):

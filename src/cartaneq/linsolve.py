@@ -1,9 +1,12 @@
 """Exact linear algebra over the expression field.
 
 A matrix is a list of sparse rows, each a ``{column: Expression}`` dict
-that stores only nonzero entries; elimination is plain Gauss-Jordan on
-those rows.  Because expression equality is decidable, ranks and pivots
-are exact; no numeric tolerance appears anywhere.
+that stores only nonzero entries.  A rank is the size of a forward
+echelon (``Echelon``) that takes the rows one at a time, so ranks of a
+growing stack of rows cost one reduction in all; absorption and
+``invert`` need the reduced form and take plain Gauss-Jordan (``rref``).
+Because expression equality is decidable, ranks and pivots are exact; no
+numeric tolerance appears anywhere.
 """
 
 from __future__ import annotations
@@ -75,9 +78,53 @@ def rref(rows, chart: Chart, max_col=None):
     return rows, pivots
 
 
+class Echelon:
+    """A forward echelon that grows by one row at a time; ``len`` is its rank.
+
+    Each kept row has a 1 in its pivot column and a 0 in the pivot
+    columns of the rows kept before it, so a new row, reduced against the
+    kept rows in order, meets each pivot column once.  Its pivot is its
+    cheapest entry by the rule of ``_pick_pivot``, ties to the lowest
+    column.  The rows are never reduced upwards, which a rank does not
+    need.
+    """
+
+    def __init__(self, chart: Chart):
+        self.chart = chart
+        self._rows = []
+
+    def __len__(self):
+        return len(self._rows)
+
+    def add(self, row):
+        """Reduce ``row`` (not modified) and keep it if it adds rank."""
+        row = {c: e for c, e in row.items() if not e.is_zero}
+        for col, prow in self._rows:
+            factor = row.get(col)
+            if factor is None:
+                continue
+            for c, b in prow.items():
+                a = row.get(c)
+                v = -(factor * b) if a is None else a - factor * b
+                if v.is_zero:
+                    del row[c]
+                else:
+                    row[c] = v
+        if not row:
+            return
+        col = min(row, key=lambda c: (not row[c].is_const, row[c].size, c))
+        piv = row[col]
+        if not (piv == 1):
+            inv = Expression.const(self.chart, 1) / piv
+            row = {c: e * inv for c, e in row.items()}
+        self._rows.append((col, row))
+
+
 def rank(rows, chart: Chart) -> int:
-    _, pivots = rref(rows, chart)
-    return len(pivots)
+    echelon = Echelon(chart)
+    for row in rows:
+        echelon.add(row)
+    return len(echelon)
 
 
 def invert(rows, chart: Chart):

@@ -66,10 +66,27 @@ class PfaffianSystem:
     """A coframe split into system, independence and fiber blocks.
 
     The blocks are read-only: the structure equations are computed once
-    and kept.
+    and kept.  The constructor inverts the coframe omega + theta + pi,
+    which raises SingularCoframe unless the blocks have full rank.  A
+    prolonged system derives its inverse from its parent's instead, and
+    that explicit inverse certifies its full rank (``_with_inverse``).
     """
 
     def __init__(self, chart: Chart, omega, theta, pi):
+        self._set_blocks(chart, omega, theta, pi)
+        self.coframe = Coframe(chart, self.omega + self.theta + self.pi)
+
+    @classmethod
+    def _with_inverse(cls, chart, omega, theta, pi, inverse):
+        """The system whose coframe has the known ``inverse``, unchecked."""
+        self = cls.__new__(cls)
+        self._set_blocks(chart, omega, theta, pi)
+        self.coframe = Coframe._from_inverse(
+            chart, self.omega + self.theta + self.pi, inverse
+        )
+        return self
+
+    def _set_blocks(self, chart, omega, theta, pi):
         self.chart = chart
         self.omega = list(omega)
         self.theta = list(theta)
@@ -79,8 +96,6 @@ class PfaffianSystem:
             raise DomainError(
                 f"blocks have {total} forms but the chart has dimension {chart.dim}"
             )
-        # validates full rank as a side effect
-        self.coframe = Coframe(chart, self.omega + self.theta + self.pi)
         self._structure = None
 
 
@@ -309,10 +324,11 @@ flag_fallbacks = 0
 def _stacked_ranks(a, A, flag, chart):
     """sigma_k, the rank of A(v_1), ..., A(v_k) stacked, for k = 1..n.
 
-    ``flag[k][i]`` is the i-th component of v_k.
+    ``flag[k][i]`` is the i-th component of v_k.  The blocks go into one
+    echelon in turn, and sigma_k is its rank once A(v_k) is in.
     """
     sigma = []
-    stacked = []
+    echelon = linsolve.Echelon(chart)
     for v in flag:
         # rows of A(v): one per alpha, columns rho
         rows = [{} for _ in range(a)]
@@ -320,8 +336,9 @@ def _stacked_ranks(a, A, flag, chart):
             term = entry * v[i]
             prev = rows[alpha].get(rho)
             rows[alpha][rho] = term if prev is None else prev + term
-        stacked.extend(rows)
-        sigma.append(linsolve.rank(stacked, chart))
+        for row in rows:
+            echelon.add(row)
+        sigma.append(len(echelon))
     return sigma
 
 
@@ -406,10 +423,17 @@ def cartan_characters(eqs: StructureEquations) -> InvolutionReport:
 
 
 def _jet_names(n: int, m: int, level: int):
+    """(name, a, I) for each jet coordinate u^a_I of one order.
+
+    The indices of I run together below n = 10 (u112).  From n = 10 on
+    they are joined by underscores, since run together (11,) and (1, 1)
+    would both be u11; joined they are u11 and u1_1.
+    """
+    sep = "_" if n >= 10 else ""
     out = []
     for a in range(1, m + 1):
         for I in combinations_with_replacement(range(1, n + 1), level):
-            suffix = "".join(str(i) for i in I)
+            suffix = sep.join(str(i) for i in I)
             if m == 1:
                 out.append(("u" + suffix, a, I))
             elif suffix:
@@ -462,6 +486,10 @@ def prolong(system: PfaffianSystem) -> PfaffianSystem:
     conditions it carries have to be dealt with first).  Free absorption
     choices become coordinates on the prolonged space and the shifted
     fiber forms join the system block.
+
+    The prolonged coframe is omega, pi' = pi - lam theta, theta, dlam, so
+    the parent's inverse gives its inverse with no elimination (see
+    ``_prolonged_inverse``).
     """
     eqs = structure_equations(system)
     sol = absorb_torsion(eqs)
@@ -481,8 +509,10 @@ def prolong(system: PfaffianSystem) -> PfaffianSystem:
         slot: Expression.var(big, lam_names[idx])
         for idx, slot in enumerate(free)
     }
+    shifts = []  # shifts[rho][i] is the nonzero lam[rho, i] of pi'^rho
     for rho in range(eqs.r):
         shifted = pis[rho]
+        shift = {}
         for i in range(eqs.n):
             lam = sol.particular.get((rho, i))
             lam = lam.rebase(big) if lam is not None else None
@@ -494,7 +524,52 @@ def prolong(system: PfaffianSystem) -> PfaffianSystem:
                     lam = extra if lam is None else lam + extra
             if lam is not None and not lam.is_zero:
                 shifted = shifted - lam * theta[i]
+                shift[i] = lam
         omega.append(shifted)
+        shifts.append(shift)
 
     new_pi = [DifferentialForm.basis(big, nm) for nm in lam_names]
-    return PfaffianSystem(big, omega, theta, new_pi)
+    inverse = _prolonged_inverse(system, big, shifts)
+    return PfaffianSystem._with_inverse(big, omega, theta, new_pi, inverse)
+
+
+def _prolonged_inverse(system: PfaffianSystem, big: Chart, shifts):
+    """Inverse of the prolonged coframe, read off the parent's inverse.
+
+    The parent's row M[j] expands dz^j on omega, theta, pi; the prolonged
+    coframe lists omega, pi', theta, dlam, with ``shifts[rho]`` holding
+    the lam[rho, i] of pi'^rho = pi^rho - sum_i lam[rho, i] theta^i.  Put
+    pi^rho = pi'^rho + sum_i lam[rho, i] theta^i into M[j]: the omega and
+    pi entries keep their values in the columns of omega and pi', and the
+    theta^i entry gains sum_rho M[j][pi^rho] lam[rho, i].  The new
+    coordinates lam follow the parent's coordinates in the basis, each
+    with the unit row of its own dlam, ahead of any parameter rows.
+    """
+    a, n, r = len(system.omega), len(system.theta), len(system.pi)
+    nc = len(system.chart.coords)
+    one = Expression.const(big, 1)
+    rows = []
+    for row in system.coframe.inverse:
+        new = {}
+        pi_entries = []
+        for c, e in row.items():
+            e = e.rebase(big)
+            if c < a:
+                new[c] = e
+            elif c < a + n:
+                new[c + r] = e
+            else:
+                new[c - n] = e
+                pi_entries.append((c - a - n, e))
+        for rho, m in pi_entries:
+            for i, lam in shifts[rho].items():
+                col = a + r + i
+                prev = new.get(col)
+                v = m * lam if prev is None else prev + m * lam
+                if v.is_zero:
+                    del new[col]
+                else:
+                    new[col] = v
+        rows.append(new)
+    lam_rows = [{a + r + n + l: one} for l in range(big.dim - system.chart.dim)]
+    return rows[:nc] + lam_rows + rows[nc:]

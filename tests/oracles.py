@@ -7,7 +7,8 @@ arithmetic, but none of the flatness formulas it is checked against.
 The two expression oracles reduce against whole denominators, where the
 library reduces against the factors that can be shared.  The Painleve
 oracle reads the whole concrete report, where the library maps only
-the components it reads.
+the components it reads.  The stacked-rank oracle row-reduces each
+stack of flag blocks from scratch, where the library grows one echelon.
 """
 
 from fractions import Fraction
@@ -22,6 +23,7 @@ from cartaneq import (
     odesys_chart,
     run_equivalence_ode2,
 )
+from cartaneq.linsolve import rref
 from cartaneq.parser import render_text
 from cartaneq.pfaffian import StructureEquations
 from cartaneq.poly import Polynomial
@@ -212,6 +214,27 @@ def brute_force_sigma(eqs, rng, tries=100, span=4):
             if got > best[k - 1]:
                 best[k - 1] = got
     return tuple(best)
+
+
+def stacked_ranks(a, A, flag, chart):
+    """sigma_k by Gauss-Jordan on the whole stack, once per k.
+
+    The library's ``pfaffian._stacked_ranks`` grows one echelon block by
+    block; this stacks A(v_1), ..., A(v_k) and row-reduces the stack from
+    scratch for each k, as the library did before.
+    """
+    sigma = []
+    stacked = []
+    for v in flag:
+        # rows of A(v): one per alpha, columns rho
+        rows = [{} for _ in range(a)]
+        for (alpha, rho, i), entry in A.items():
+            term = entry * v[i]
+            prev = rows[alpha].get(rho)
+            rows[alpha][rho] = term if prev is None else prev + term
+        stacked.extend(rows)
+        sigma.append(len(rref(stacked, chart)[1]))
+    return sigma
 
 
 def flat_system_under_point_map(T, X1, X2):

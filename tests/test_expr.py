@@ -312,6 +312,26 @@ def test_one_term_images_take_no_polynomial_gcd(monkeypatch):
     assert got == want and calls == []
 
 
+def test_unit_denominators_take_no_cofactors(monkeypatch):
+    # a sum or product of polynomials over 1 is already canonical
+    a, b = E("x^2*f + 3*y - 2"), E("2*p*f_xy - x")
+    want = [E("x^2*f + 3*y + 2*p*f_xy - x - 2"),
+            E("x^2*f + 3*y - 2*p*f_xy + x - 2"),
+            E("(x^2*f + 3*y - 2)*(2*p*f_xy - x)"), E("2*x^2*f + 6*y - 4")]
+    calls = []
+    raw = poly.cofactors
+    monkeypatch.setattr(poly, "cofactors",
+                        lambda a, b: calls.append((a, b)) or raw(a, b))
+    got = [a + b, a - b, a * b, 2 * a]
+    zero = a - a
+    assert calls == []
+    monkeypatch.undo()
+    assert got == want
+    assert zero == Expression.const(CH, 0)
+    assert hash(zero) == hash(Expression.const(CH, 0))
+    assert zero.num.is_zero and zero.den == poly.one()
+
+
 def test_subs_coords():
     base = Chart(coords=("x", "y", "p"))
     x, y, p = (Expression.var(base, n) for n in ("x", "y", "p"))

@@ -70,6 +70,45 @@ def test_rank_matches_fraction_elimination():
         assert sparse == before
 
 
+def test_rank_is_the_number_of_rref_pivots():
+    # sparse rows of constant, polynomial and rational entries, with
+    # zero and repeated rows
+    ch = Chart(coords=("x", "y"))
+    x, y = Expression.var(ch, "x"), Expression.var(ch, "y")
+    rng = seeded(504)
+
+    def entry(kind):
+        c = Expression.const(ch, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        if kind == "const":
+            return c
+        e = c + rng.randint(-2, 2) * x ** rng.randint(0, 2) * y ** rng.randint(0, 1)
+        if kind == "rational" and rng.random() < 0.5:
+            den = x + rng.randint(1, 3) * y + rng.randint(-2, 2)
+            e = e / den
+        return e
+
+    for kind in ("const", "poly", "rational"):
+        for _ in range(25):
+            ncols = rng.randint(1, 5)
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                pick = rng.random()
+                if pick < 0.15:
+                    rows.append({})
+                elif pick < 0.3 and rows:
+                    rows.append(dict(rng.choice(rows)))
+                else:
+                    row = {}
+                    for c in range(ncols):
+                        e = entry(kind)
+                        if rng.random() < 0.6 and not e.is_zero:
+                            row[c] = e
+                    rows.append(row)
+            before = _snapshot(rows)
+            assert rank(rows, ch) == len(rref(rows, ch)[1]), (kind, rows)
+            assert rows == before
+
+
 def test_rref_is_reduced_and_consistent():
     rng = seeded(502)
     for _ in range(40):

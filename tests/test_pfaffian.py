@@ -1,6 +1,7 @@
 """Linear Pfaffian systems: structure split, absorption, involutivity."""
 
 from itertools import combinations
+from math import comb
 from types import SimpleNamespace
 
 import pytest
@@ -31,7 +32,24 @@ from oracles import (
     brute_force_sigma,
     check_absorption_against_brute_force,
     numeric_structure,
+    stacked_ranks,
 )
+
+
+# the (n, m, q) of the contact-pfaffian benchmark workload
+CONTACT = [
+    (3, 1, 1), (1, 4, 1), (2, 1, 2), (2, 2, 1), (1, 3, 2), (1, 1, 6),
+    (2, 3, 1), (4, 1, 1), (1, 2, 3), (1, 5, 1), (3, 2, 1), (2, 1, 3),
+    (1, 2, 4), (1, 6, 1), (1, 3, 3), (2, 4, 1), (1, 4, 2), (2, 2, 2),
+    (3, 1, 2), (3, 3, 1), (1, 2, 5), (2, 5, 1), (4, 2, 1),
+    (3, 4, 1), (1, 2, 6), (2, 1, 4), (1, 3, 4), (1, 4, 3), (4, 3, 1),
+    (1, 6, 2), (2, 6, 1),
+    (3, 5, 1),
+]
+
+
+def _nmq_id(nmq):
+    return "-".join(str(v) for v in nmq)
 
 
 def _basis(ch, name):
@@ -130,6 +148,24 @@ def test_contact_systems_are_involutive():
         assert absorb_torsion(eqs).essential == []
 
 
+@pytest.mark.parametrize("nmq", [(11, 1, 2), (11, 2, 2)], ids=_nmq_id)
+def test_contact_system_names_jets_apart_past_nine(nmq):
+    # digits alone would name the jets (11,) and (1, 1) both u11
+    n, m, q = nmq
+    coords = contact_system(n, m, q).chart.coords
+    assert len(coords) == n + m * comb(n + q, q)
+    assert len(set(coords)) == len(coords)
+
+
+def test_contact_system_names_below_ten():
+    assert contact_system(2, 2, 2).chart.coords == (
+        "x1", "x2", "u1", "u2", "u1_1", "u1_2", "u2_1", "u2_2",
+        "u1_11", "u1_12", "u1_22", "u2_11", "u2_12", "u2_22",
+    )
+    coords = contact_system(9, 1, 2).chart.coords
+    assert coords[9:12] == ("u", "u1", "u2") and coords[-1] == "u99"
+
+
 def test_contact_system_validates_arguments():
     for bad in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
         with pytest.raises(DomainError):
@@ -184,21 +220,94 @@ def test_zero_tableau_is_frobenius():
     assert inv.involutive and inv.dim_prolongation == 0
 
 
-def test_prolonged_contact_system_is_the_next_jet():
-    before = contact_system(1, 1, 1)
-    after = prolong(before)
-    target = contact_system(1, 1, 2)
-    assert after.chart.dim == before.chart.dim + 1
+def _labelled_tableau(system):
+    """The tableau keyed by the jet labels (a, J) of omega and pi forms.
+
+    Each omega form of a contact system, and of its prolongations, reads
+    dc - sum_i v_i dx^i, where v_i is the coordinate of the jet one order
+    above c along x^i.  Reading them in order labels every jet
+    coordinate; a c not yet labelled is some u^a of order zero.  Equal
+    labels thus name the same jet on a prolonged system, whose fiber
+    coordinates are lam1, lam2, ..., and on the jet space itself.
+    """
+    chart = system.chart
+    theta_at = {
+        idx: i for i, t in enumerate(system.theta) for (idx,) in t.comps
+    }
+    labels = {}
+    omega_labels = []
+    for w in system.omega:
+        (c,), = [idx for idx in w.comps if idx[0] not in theta_at]
+        assert w.comps[(c,)] == 1
+        if c not in labels:
+            labels[c] = (sum(not J for _, J in labels.values()) + 1, ())
+        a, J = labels[c]
+        omega_labels.append(labels[c])
+        for (k,), coeff in w.comps.items():
+            if k in theta_at:
+                (key,) = coeff.variables()
+                assert -coeff == Expression.from_key(chart, key)
+                label = (a, tuple(sorted(J + (theta_at[k],))))
+                assert labels.setdefault(chart.basis_index(key), label) == label
+    pi_labels = [labels[idx] for p in system.pi for (idx,) in p.comps]
+    assert len(pi_labels) == len(system.pi)
+    return {
+        (omega_labels[alpha], pi_labels[rho], i): e.const_value()
+        for (alpha, rho, i), e in structure_equations(system).A.items()
+    }
+
+
+TOWERS = [(nmq, k) for nmq in [(1, 1, 1)] + CONTACT for k in (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "nmq, k", TOWERS, ids=[f"{_nmq_id(nmq)}+{k}" for nmq, k in TOWERS])
+def test_prolonged_contact_system_is_the_next_jet(nmq, k):
+    n, m, q = nmq
+    after = contact_system(n, m, q)
+    for _ in range(k):
+        after = prolong(after)
+    target = contact_system(n, m, q + k)
+    assert after.chart.dim == target.chart.dim == n + m * comb(n + q + k, n)
     ea, et = structure_equations(after), structure_equations(target)
     assert (ea.a, ea.n, ea.r) == (et.a, et.n, et.r)
-    assert sorted(ea.A) == sorted(et.A)
-    # charts differ (lam1 vs u11) so compare entry values, not Expressions
-    assert all(
-        ea.A[k].const_value() == et.A[k].const_value() for k in ea.A
-    )
+    # charts differ (lam1 vs u11), so the tableaux are compared by jet
+    assert _labelled_tableau(after) == _labelled_tableau(target)
     assert not ea.T and not et.T
     ia, it = cartan_characters(ea), cartan_characters(et)
     assert ia.characters == it.characters and ia.involutive
+
+
+def _gauss_jordan_inverse(system):
+    coframe = system.coframe
+    rows = [{k: c for (k,), c in f.comps.items()} for f in coframe.forms]
+    return linsolve.invert(rows, system.chart)
+
+
+@pytest.mark.parametrize("nmq", CONTACT, ids=_nmq_id)
+def test_prolonged_inverse_is_the_gauss_jordan_inverse(nmq):
+    system = contact_system(*nmq)
+    for _ in range(2):
+        system = prolong(system)
+        assert system.coframe.inverse == _gauss_jordan_inverse(system)
+
+
+def test_prolonged_inverse_puts_lam_rows_before_parameter_rows():
+    ch = Chart(coords=("x", "u", "p"), params=("a",))
+    p, a = Expression.var(ch, "p"), Expression.var(ch, "a")
+    dx, du, dp, da = (_basis(ch, nm) for nm in ("x", "u", "p", "a"))
+    out = prolong(PfaffianSystem(ch, [du - p * dx], [dx], [dp - a * dx, da]))
+    big = out.chart
+    assert big.coords == ("x", "u", "p", "lam1", "lam2")
+    assert big.params == ("a",)
+    inverse = out.coframe.inverse
+    assert inverse == _gauss_jordan_inverse(out)
+    # the coframe is omega, dp - (a + lam1) dx, da - lam2 dx, dx, dlam1,
+    # dlam2, and the basis x, u, p, lam1, lam2, a
+    one = Expression.const(big, 1)
+    assert inverse[3:] == [
+        {4: one}, {5: one}, {2: one, 3: Expression.var(big, "lam2")},
+    ]
 
 
 def test_contact_op_solves_its_structure_and_absorption_once(monkeypatch):
@@ -300,18 +409,6 @@ def test_singular_flag_is_refused(monkeypatch):
     before = pfaffian.flag_fallbacks
     assert _report(cartan_characters(eqs)) == want
     assert pfaffian.flag_fallbacks == before + 1
-
-
-# the (n, m, q) of the contact-pfaffian benchmark workload
-CONTACT = [
-    (3, 1, 1), (1, 4, 1), (2, 1, 2), (2, 2, 1), (1, 3, 2), (1, 1, 6),
-    (2, 3, 1), (4, 1, 1), (1, 2, 3), (1, 5, 1), (3, 2, 1), (2, 1, 3),
-    (1, 2, 4), (1, 6, 1), (1, 3, 3), (2, 4, 1), (1, 4, 2), (2, 2, 2),
-    (3, 1, 2), (3, 3, 1), (1, 2, 5), (2, 5, 1), (4, 2, 1),
-    (3, 4, 1), (1, 2, 6), (2, 1, 4), (1, 3, 4), (1, 4, 3), (4, 3, 1),
-    (1, 6, 2), (2, 6, 1),
-    (3, 5, 1),
-]
 
 
 def test_certified_characters_match_the_symbolic_flag(monkeypatch):
@@ -416,3 +513,32 @@ def test_absorption_on_polynomial_entries():
         for h in sol.homogeneous.values():
             assert all(v.is_zero for v in _torsion_left(eqs, h, False))
     assert kinds == {True, False}
+
+
+def test_stacked_ranks_match_the_gauss_jordan_oracle(monkeypatch):
+    sigmas = []
+    echelon_ranks = pfaffian._stacked_ranks
+
+    def checked(a, A, flag, chart):
+        sigma = echelon_ranks(a, A, flag, chart)
+        assert sigma == stacked_ranks(a, A, flag, chart)
+        sigmas.append(sigma)
+        return sigma
+
+    monkeypatch.setattr(pfaffian, "_stacked_ranks", checked)
+    rng = seeded(607)
+    systems = [structure_equations(contact_system(*nmq)) for nmq in CONTACT]
+    systems += [
+        _poly_structure(
+            rng, rng.randint(1, 3), rng.randint(2, 3), rng.randint(1, 3))
+        for _ in range(20)
+    ]
+    for eqs in systems:
+        cartan_characters(eqs)
+    drawn = len(sigmas)
+    assert drawn >= len(systems)
+    # the symbolic flag, once per system
+    monkeypatch.setattr(pfaffian, "_FLAG_TRIES", 0)
+    for eqs in systems:
+        cartan_characters(eqs)
+    assert len(sigmas) == drawn + len(systems)
