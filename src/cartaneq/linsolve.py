@@ -36,6 +36,17 @@ def _pick_pivot(rows, col, start):
     return best
 
 
+def _subtract(row, factor, prow):
+    """row -= factor * prow in place, deleting the entries that cancel."""
+    for c, b in prow.items():
+        a = row.get(c)
+        v = -(factor * b) if a is None else a - factor * b
+        if v.is_zero:
+            del row[c]
+        else:
+            row[c] = v
+
+
 def rref(rows, chart: Chart, max_col=None):
     """Reduced row echelon form; returns (new_rows, pivot_columns).
 
@@ -64,15 +75,8 @@ def rref(rows, chart: Chart, max_col=None):
         for r in range(len(rows)):
             row = rows[r]
             factor = row.get(col)
-            if r == r0 or factor is None:
-                continue
-            for c, b in prow.items():
-                a = row.get(c)
-                v = -(factor * b) if a is None else a - factor * b
-                if v.is_zero:
-                    del row[c]
-                else:
-                    row[c] = v
+            if r != r0 and factor is not None:
+                _subtract(row, factor, prow)
         pivots.append(col)
         r0 += 1
     return rows, pivots
@@ -101,15 +105,8 @@ class Echelon:
         row = {c: e for c, e in row.items() if not e.is_zero}
         for col, prow in self._rows:
             factor = row.get(col)
-            if factor is None:
-                continue
-            for c, b in prow.items():
-                a = row.get(c)
-                v = -(factor * b) if a is None else a - factor * b
-                if v.is_zero:
-                    del row[c]
-                else:
-                    row[c] = v
+            if factor is not None:
+                _subtract(row, factor, prow)
         if not row:
             return
         col = min(row, key=lambda c: (not row[c].is_const, row[c].size, c))
