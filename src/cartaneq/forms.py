@@ -9,6 +9,8 @@ lets d see through opaque function symbols.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .chart import KIND_DERIV, Chart
 from .errors import ChartMismatch, SingularCoframe, UnknownName
 from .expr import Expression
@@ -37,6 +39,31 @@ def _merge_sign(i_tuple, j_tuple):
     merged.extend(i_tuple[i:])
     merged.extend(j_tuple[j:])
     return tuple(merged), sign
+
+
+def _wedge(a, b):
+    """The wedge of two forms given as {index tuple: Expression} dicts.
+
+    Both operands hold only nonzero components, and so does the result.
+    """
+    out = {}
+    for i_idx, x in a.items():
+        for j_idx, y in b.items():
+            merged, sign = _merge_sign(i_idx, j_idx)
+            if merged is None:
+                continue
+            term = x * y if sign > 0 else -(x * y)
+            prev = out.get(merged)
+            out[merged] = term if prev is None else prev + term
+    return {idx: c for idx, c in out.items() if not c.is_zero}
+
+
+def _check(chart, form):
+    """Refuse anything but a differential form on ``chart``."""
+    if not isinstance(form, DifferentialForm):
+        raise TypeError("expected a differential form")
+    if form.chart != chart:
+        raise ChartMismatch("forms live on different charts")
 
 
 class DifferentialForm:
@@ -126,16 +153,10 @@ class DifferentialForm:
     # ------------------------------------------------------------------
     # linear structure
 
-    def _check(self, other):
-        if not isinstance(other, DifferentialForm):
-            raise TypeError("expected a differential form")
-        if other.chart != self.chart:
-            raise ChartMismatch("forms live on different charts")
+    def __add__(self, other):
+        _check(self.chart, other)
         if other.degree != self.degree:
             raise ValueError("cannot add forms of different degree")
-
-    def __add__(self, other):
-        self._check(other)
         comps = dict(self.comps)
         for idx, c in other.comps.items():
             prev = comps.get(idx)
@@ -167,20 +188,11 @@ class DifferentialForm:
     # exterior algebra
 
     def wedge(self, other: "DifferentialForm") -> "DifferentialForm":
-        if other.chart != self.chart:
-            raise ChartMismatch("forms live on different charts")
-        out = {}
-        zero = Expression.const(self.chart, 0)
-        for i_idx, a in self.comps.items():
-            for j_idx, b in other.comps.items():
-                merged, sign = _merge_sign(i_idx, j_idx)
-                if merged is None:
-                    continue
-                term = a * b
-                if sign < 0:
-                    term = -term
-                out[merged] = out.get(merged, zero) + term
-        return DifferentialForm(self.chart, self.degree + other.degree, out)
+        _check(self.chart, other)
+        degree = self.degree + other.degree
+        return DifferentialForm(
+            self.chart, degree, _wedge(self.comps, other.comps)
+        )
 
     def d(self) -> "DifferentialForm":
         """Exterior derivative.
@@ -234,10 +246,7 @@ class DifferentialForm:
 
 
 def wedge(*forms):
-    out = forms[0]
-    for f in forms[1:]:
-        out = out.wedge(f)
-    return out
+    return reduce(DifferentialForm.wedge, forms)
 
 
 class VectorField:
@@ -278,10 +287,9 @@ class VectorField:
 
     def pair(self, form: DifferentialForm) -> Expression:
         """Interior pairing with a 1-form."""
+        _check(self.chart, form)
         if form.degree != 1:
             raise ValueError("pairing is defined against 1-forms")
-        if form.chart != self.chart:
-            raise ChartMismatch("form lives on a different chart")
         out = Expression.const(self.chart, 0)
         for (i,), c in form.comps.items():
             x = self.comps.get(i)
@@ -304,12 +312,13 @@ class Coframe:
     """A full rank system of 1-forms spanning the cotangent space.
 
     ``inverse`` holds one sparse row per basis direction: row j expands
-    dz^j on the coframe, ``{position in the coframe list: coefficient}``.
-    The constructor finds it by Gauss-Jordan elimination, which is also
-    the full rank check: a singular list raises SingularCoframe.  A
-    caller that already knows the inverse (``pfaffian.prolong`` derives
-    it from the parent system's) builds through ``_from_inverse``, which
-    checks nothing.
+    dz^j on the coframe, ``{position in the coframe list: coefficient}``,
+    and it is the coframe's only other representation: ``express`` wedges
+    these rows as they are.  The constructor finds it by Gauss-Jordan
+    elimination, which is also the full rank check: a singular list raises
+    SingularCoframe.  A caller that already knows the inverse
+    (``pfaffian.prolong`` derives it from the parent system's) builds
+    through ``_from_inverse``, which checks nothing.
     """
 
     def __init__(self, chart: Chart, forms):
@@ -320,46 +329,42 @@ class Coframe:
                 f"need {n} one-forms for a coframe, got {len(forms)}"
             )
         for f in forms:
-            if f.chart != chart:
-                raise ChartMismatch("coframe forms live on different charts")
+            _check(chart, f)
             if f.degree != 1:
                 raise ValueError("coframe entries must be 1-forms")
-        inverse = linsolve.invert(
+        self.chart = chart
+        self.forms = forms
+        self.inverse = linsolve.invert(
             [{k: c for (k,), c in f.comps.items()} for f in forms], chart
         )
-        self._init(chart, forms, inverse)
 
     @classmethod
     def _from_inverse(cls, chart: Chart, forms, inverse) -> "Coframe":
         """The coframe of ``forms`` with a known ``inverse``, unchecked."""
         self = cls.__new__(cls)
-        self._init(chart, list(forms), inverse)
+        self.chart, self.forms, self.inverse = chart, list(forms), inverse
         return self
-
-    def _init(self, chart, forms, inverse):
-        self.chart = chart
-        self.forms = forms
-        self.inverse = inverse
-        self._dz = [
-            DifferentialForm(chart, 1, {(i,): c for i, c in row.items()})
-            for row in inverse
-        ]
 
     def express(self, form: DifferentialForm):
         """Components of a form in the coframe basis.
 
-        Returns {increasing index tuple -> Expression}; for a k-form the
-        coefficient of theta^{i1} ^ ... ^ theta^{ik} sits at (i1, ..., ik).
-        Index tuples refer to positions in the coframe list.
+        Returns {increasing index tuple -> Expression}, nonzero entries
+        only; for a k-form the coefficient of theta^{i1} ^ ... ^ theta^{ik}
+        sits at (i1, ..., ik).  Index tuples refer to positions in the
+        coframe list.  Each component c dz^J contributes c times the wedge
+        of the inverse rows of J.
         """
-        if form.chart != self.chart:
-            raise ChartMismatch("form lives on a different chart")
+        _check(self.chart, form)
         if form.degree == 0:
             return dict(form.comps)
-        out = DifferentialForm.zero(self.chart, form.degree)
+        out = {}
         for idx, c in form.comps.items():
-            out = out + wedge(*(self._dz[j] for j in idx)) * c
-        return dict(sorted(out.comps.items()))
+            rows = ({(k,): e for k, e in self.inverse[j].items()} for j in idx)
+            for k, e in reduce(_wedge, rows).items():
+                term = e * c
+                prev = out.get(k)
+                out[k] = term if prev is None else prev + term
+        return {k: out[k] for k in sorted(out) if not out[k].is_zero}
 
     def dual_frame(self):
         """Vector fields X_i with <X_i, theta^j> = delta_ij."""

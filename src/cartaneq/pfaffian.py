@@ -202,15 +202,22 @@ class AbsorptionSolution:
     def absorbed_pi_forms(self):
         """The shifted fiber forms pi - lam theta (free choices at zero)."""
         eqs = self.equations
-        out = []
-        for rho, pf in enumerate(eqs.pi_forms):
-            shifted = pf
-            for i, tf in enumerate(eqs.theta_forms):
-                lam = self.particular.get((rho, i))
-                if lam is not None and not lam.is_zero:
-                    shifted = shifted - lam * tf
-            out.append(shifted)
-        return out
+        return _shifted(eqs.pi_forms, eqs.theta_forms, self.particular)
+
+
+def _shifted(pi_forms, theta_forms, lam):
+    """The forms pi^rho - sum_i lam[rho, i] theta^i.
+
+    ``lam`` maps (rho, i) to a nonzero coefficient; absent keys are zero.
+    """
+    comps = [dict(p.comps) for p in pi_forms]
+    for (rho, i), e in lam.items():
+        row = comps[rho]
+        for idx, c in theta_forms[i].comps.items():
+            term = e * c
+            prev = row.get(idx)
+            row[idx] = -term if prev is None else prev - term
+    return [DifferentialForm(p.chart, 1, c) for p, c in zip(pi_forms, comps)]
 
 
 def absorb_torsion(eqs: StructureEquations) -> AbsorptionSolution:
@@ -455,22 +462,22 @@ def contact_system(n: int, m: int, q: int) -> PfaffianSystem:
     def du(name):
         return DifferentialForm.basis(chart, name)
 
-    by_index = {}
-    for level in levels:
-        for name, a, I in level:
-            by_index[(a, I)] = name
+    def at(name):
+        return (chart.basis_index(chart.key_of(name)),)
 
+    by_index = {(a, I): name for level in levels for name, a, I in level}
+
+    # du^a_I - sum_i u^a_{I+i} dx^i, one form per jet below order q
+    one = Expression.const(chart, 1)
     omega = []
     for l in range(q):
         for name, a, I in levels[l]:
-            w = du(name)
-            for i in range(1, n + 1):
+            comps = {at(name): one}
+            for i, x in enumerate(xs, 1):
                 upper = by_index[(a, tuple(sorted(I + (i,))))]
-                w = w - Expression.var(chart, upper) * DifferentialForm.basis(
-                    chart, f"x{i}"
-                )
-            omega.append(w)
-    theta = [DifferentialForm.basis(chart, x) for x in xs]
+                comps[at(x)] = -Expression.var(chart, upper)
+            omega.append(DifferentialForm(chart, 1, comps))
+    theta = [du(x) for x in xs]
     pi = [du(name) for name, _, _ in levels[q]]
     return PfaffianSystem(chart, omega, theta, pi)
 
@@ -484,11 +491,13 @@ def prolong(system: PfaffianSystem) -> PfaffianSystem:
 
     The essential torsion must vanish (otherwise the integrability
     conditions it carries have to be dealt with first).  Free absorption
-    choices become coordinates on the prolonged space and the shifted
-    fiber forms join the system block.
+    choices become coordinates lam_slot on the prolonged space, and the
+    shifted fiber forms pi' = pi - lam theta join the system block, with
+    one table ``lam[rho, i] = particular + sum_slot lam_slot homogeneous``
+    built slot by slot and holding only nonzero entries.
 
-    The prolonged coframe is omega, pi' = pi - lam theta, theta, dlam, so
-    the parent's inverse gives its inverse with no elimination (see
+    The prolonged coframe is omega, pi', theta, dlam, so the parent's
+    inverse and the same table give its inverse with no elimination (see
     ``_prolonged_inverse``).
     """
     eqs = structure_equations(system)
@@ -497,51 +506,36 @@ def prolong(system: PfaffianSystem) -> PfaffianSystem:
         raise NonEmptyEssentialTorsion(
             f"{len(sol.essential)} essential torsion components remain"
         )
-    free = sol.free
-    lam_names = _fresh_param_names(system.chart, len(free), "lam")
+    lam_names = _fresh_param_names(system.chart, len(sol.free), "lam")
     big = system.chart.extend_coords(lam_names)
 
-    omega = [w.rebase(big) for w in system.omega]
+    lam = {key: e.rebase(big) for key, e in sol.particular.items()}
+    for name, slot in zip(lam_names, sol.free):
+        var = Expression.var(big, name)
+        for key, coeff in sol.homogeneous[slot].items():
+            extra = var * coeff.rebase(big)
+            prev = lam.get(key)
+            lam[key] = extra if prev is None else prev + extra
+    lam = {key: e for key, e in lam.items() if not e.is_zero}
+
     theta = [t.rebase(big) for t in system.theta]
-    pis = [p.rebase(big) for p in system.pi]
-
-    lam_vars = {
-        slot: Expression.var(big, lam_names[idx])
-        for idx, slot in enumerate(free)
-    }
-    shifts = []  # shifts[rho][i] is the nonzero lam[rho, i] of pi'^rho
-    for rho in range(eqs.r):
-        shifted = pis[rho]
-        shift = {}
-        for i in range(eqs.n):
-            lam = sol.particular.get((rho, i))
-            lam = lam.rebase(big) if lam is not None else None
-            for slot, coeff in (
-                (s, h.get((rho, i))) for s, h in sol.homogeneous.items()
-            ):
-                if coeff is not None:
-                    extra = lam_vars[slot] * coeff.rebase(big)
-                    lam = extra if lam is None else lam + extra
-            if lam is not None and not lam.is_zero:
-                shifted = shifted - lam * theta[i]
-                shift[i] = lam
-        omega.append(shifted)
-        shifts.append(shift)
-
+    omega = [w.rebase(big) for w in system.omega] + _shifted(
+        [p.rebase(big) for p in system.pi], theta, lam
+    )
     new_pi = [DifferentialForm.basis(big, nm) for nm in lam_names]
-    inverse = _prolonged_inverse(system, big, shifts)
+    inverse = _prolonged_inverse(system, big, lam)
     return PfaffianSystem._with_inverse(big, omega, theta, new_pi, inverse)
 
 
-def _prolonged_inverse(system: PfaffianSystem, big: Chart, shifts):
+def _prolonged_inverse(system: PfaffianSystem, big: Chart, lam):
     """Inverse of the prolonged coframe, read off the parent's inverse.
 
     The parent's row M[j] expands dz^j on omega, theta, pi; the prolonged
-    coframe lists omega, pi', theta, dlam, with ``shifts[rho]`` holding
-    the lam[rho, i] of pi'^rho = pi^rho - sum_i lam[rho, i] theta^i.  Put
-    pi^rho = pi'^rho + sum_i lam[rho, i] theta^i into M[j]: the omega and
-    pi entries keep their values in the columns of omega and pi', and the
-    theta^i entry gains sum_rho M[j][pi^rho] lam[rho, i].  The new
+    coframe lists omega, pi', theta, dlam, where pi'^rho = pi^rho -
+    sum_i lam[rho, i] theta^i with ``lam`` the table ``prolong`` built.
+    Put pi^rho = pi'^rho + sum_i lam[rho, i] theta^i into M[j]: the omega
+    and pi entries keep their values in the columns of omega and pi', and
+    the theta^i entry gains sum_rho M[j][pi^rho] lam[rho, i].  The new
     coordinates lam follow the parent's coordinates in the basis, each
     with the unit row of its own dlam, ahead of any parameter rows.
     """
@@ -551,7 +545,6 @@ def _prolonged_inverse(system: PfaffianSystem, big: Chart, shifts):
     rows = []
     for row in system.coframe.inverse:
         new = {}
-        pi_entries = []
         for c, e in row.items():
             e = e.rebase(big)
             if c < a:
@@ -560,16 +553,13 @@ def _prolonged_inverse(system: PfaffianSystem, big: Chart, shifts):
                 new[c + r] = e
             else:
                 new[c - n] = e
-                pi_entries.append((c - a - n, e))
-        for rho, m in pi_entries:
-            for i, lam in shifts[rho].items():
-                col = a + r + i
-                prev = new.get(col)
-                v = m * lam if prev is None else prev + m * lam
-                if v.is_zero:
-                    del new[col]
-                else:
-                    new[col] = v
-        rows.append(new)
+        for (rho, i), coeff in lam.items():
+            m = new.get(a + rho)  # M[j][pi^rho], now in the column of pi'
+            if m is None:
+                continue
+            col = a + r + i
+            prev = new.get(col)
+            new[col] = m * coeff if prev is None else prev + m * coeff
+        rows.append({c: v for c, v in new.items() if not v.is_zero})
     lam_rows = [{a + r + n + l: one} for l in range(big.dim - system.chart.dim)]
     return rows[:nc] + lam_rows + rows[nc:]

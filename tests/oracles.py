@@ -9,12 +9,15 @@ library reduces against the factors that can be shared.  The Painleve
 oracle reads the whole concrete report, where the library maps only
 the components it reads.  The stacked-rank oracle row-reduces each
 stack of flag blocks from scratch, where the library grows one echelon.
+The contact generators are sums of form operations, where the library
+builds each in one piece.
 """
 
 from fractions import Fraction
 
 from cartaneq import (
     Chart,
+    DifferentialForm,
     Expression,
     NotEquivalent,
     NotInClass,
@@ -25,7 +28,7 @@ from cartaneq import (
 )
 from cartaneq.linsolve import rref
 from cartaneq.parser import render_text
-from cartaneq.pfaffian import StructureEquations
+from cartaneq.pfaffian import StructureEquations, _jet_names
 from cartaneq.poly import Polynomial
 
 
@@ -235,6 +238,25 @@ def stacked_ranks(a, A, flag, chart):
         stacked.extend(rows)
         sigma.append(len(rref(stacked, chart)[1]))
     return sigma
+
+
+def contact_generators(chart, n, m, q):
+    """du^a_I - sum_i u^a_{I+i} dx^i for every jet u^a_I below order q,
+    by form arithmetic, in the order of ``contact_system``'s omega."""
+    name = {
+        (a, I): nm for l in range(q + 1) for nm, a, I in _jet_names(n, m, l)
+    }
+    out = []
+    for l in range(q):
+        for nm, a, I in _jet_names(n, m, l):
+            w = DifferentialForm.basis(chart, nm)
+            for i in range(1, n + 1):
+                upper = name[(a, tuple(sorted(I + (i,))))]
+                w = w - Expression.var(chart, upper) * DifferentialForm.basis(
+                    chart, f"x{i}"
+                )
+            out.append(w)
+    return out
 
 
 def flat_system_under_point_map(T, X1, X2):

@@ -1,5 +1,8 @@
 """Exterior algebra: wedge, d, coframe expression, dual frames."""
 
+from functools import cache
+from itertools import combinations, permutations
+
 import pytest
 
 from cartaneq import (
@@ -15,6 +18,8 @@ from cartaneq import (
     parse_expression,
     wedge,
 )
+
+from cartaneq.pfaffian import contact_system, prolong
 
 from conftest import random_expression, seeded
 
@@ -133,6 +138,100 @@ def test_coframe_recovery_roundtrip_random():
             idx = tuple(sorted(rng.sample(range(len(names)), k)))
             target = wedge(*(forms[i] for i in idx))
             assert cf.express(target) == {idx: one}
+
+
+@cache
+def _theta(cf, idx):
+    """theta^{i1} ^ ... ^ theta^{ik} in coordinates, by minors: its dz^K
+    component is the Leibniz determinant of the coframe's rows idx and
+    columns K (1 for k = 0), with no wedge involved."""
+    ch = cf.chart
+    comps = {}
+    for K in combinations(range(ch.dim), len(idx)):
+        det = Expression.const(ch, 0)
+        for perm in permutations(range(len(idx))):
+            term = Expression.const(ch, 1)
+            for row, col in zip(idx, perm):
+                term = term * cf.forms[row].coefficient((K[col],))
+            flips = sum(a > b for a, b in combinations(perm, 2))
+            det = det - term if flips % 2 else det + term
+        comps[K] = det
+    return DifferentialForm(ch, len(idx), comps)
+
+
+def _dense_coframe(rng):
+    """A coframe on (x, y, p; a) with every entry nonzero, a quarter of
+    them not constant."""
+    ch = Chart(coords=("x", "y", "p"), params=("a",))
+    names = ch.basis_names()
+    while True:
+        forms = [
+            DifferentialForm.one_form(ch, {
+                n: Expression.const(ch, rng.choice((-3, -2, -1, 1, 2, 3)))
+                + (rng.random() < 0.25) * Expression.var(ch, rng.choice(names))
+                for n in names
+            })
+            for _ in names
+        ]
+        try:
+            return Coframe(ch, forms)
+        except SingularCoframe:
+            continue
+
+
+def _nonzero(chart, rng):
+    while True:
+        e = random_expression(chart, rng, depth=1)
+        if not e.is_zero:
+            return e
+
+
+@pytest.mark.parametrize("which", ["dense", "prolonged-contact"])
+def test_express_matches_a_reconstruction_from_the_coframe(which):
+    # each draw: a sum of coframe wedges, whose coordinate components are
+    # dense but whose expression holds only the drawn tuples (every other
+    # one cancels), plus a few coordinate monomials dz^K
+    rng = seeded(407 if which == "dense" else 408)
+    if which == "dense":
+        cf = _dense_coframe(rng)
+    else:
+        cf = prolong(contact_system(2, 1, 1)).coframe
+    ch, dim = cf.chart, cf.chart.dim
+    for _ in range(6):
+        for k in range(min(dim, 4) + 1):
+            tuples = list(combinations(range(dim), k))
+            wanted = {J: _nonzero(ch, rng)
+                      for J in rng.sample(tuples, min(len(tuples), 3))}
+            form = DifferentialForm.zero(ch, k)
+            for J, c in wanted.items():
+                form = form + _theta(cf, J) * c
+            assert cf.express(form) == wanted
+            noise = DifferentialForm(ch, k, {
+                K: _nonzero(ch, rng)
+                for K in rng.sample(tuples, min(len(tuples), 2))
+            })
+            got = cf.express(form + noise)
+            assert all(not c.is_zero for c in got.values())
+            back = DifferentialForm.zero(ch, k)
+            for J, c in got.items():
+                back = back + _theta(cf, J) * c
+            assert back == form + noise
+
+
+def test_a_non_form_operand_is_refused():
+    dx, dp = B("x"), B("p")
+    cf = Coframe(CH, [dx, B("y"), dp])
+    for bad in (3, None, E("x")):
+        with pytest.raises(TypeError):
+            dx.wedge(bad)
+        with pytest.raises(TypeError):
+            dx + bad
+        with pytest.raises(TypeError):
+            Coframe(CH, [dx, bad, dp])
+        with pytest.raises(TypeError):
+            cf.express(bad)
+        with pytest.raises(TypeError):
+            cf.dual_frame()[0].pair(bad)
 
 
 def test_dual_frame_of_coordinate_differentials():

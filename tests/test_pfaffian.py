@@ -31,6 +31,7 @@ from conftest import run_fresh, seeded
 from oracles import (
     brute_force_sigma,
     check_absorption_against_brute_force,
+    contact_generators,
     numeric_structure,
     stacked_ranks,
 )
@@ -164,6 +165,13 @@ def test_contact_system_names_below_ten():
     )
     coords = contact_system(9, 1, 2).chart.coords
     assert coords[9:12] == ("u", "u1", "u2") and coords[-1] == "u99"
+
+
+@pytest.mark.parametrize(
+    "nmq", CONTACT + [(11, 1, 2), (10, 2, 1)], ids=_nmq_id)
+def test_contact_generators_match_form_arithmetic(nmq):
+    system = contact_system(*nmq)
+    assert system.omega == contact_generators(system.chart, *nmq)
 
 
 def test_contact_system_validates_arguments():
