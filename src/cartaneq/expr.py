@@ -60,6 +60,8 @@ class Expression:
 
     @staticmethod
     def const(chart: Chart, value) -> "Expression":
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"a constant must be an int or a Fraction, not {value!r}")
         f = Fraction(value)
         return Expression(
             chart,
@@ -309,9 +311,11 @@ class Expression:
         return self.map_vars(image | keymap, ch)
 
     def evaluate(self, point) -> Fraction:
-        """Exact value at a point given as {name: Fraction}."""
+        """Exact value at a point given as {name: int or Fraction}."""
         vals = {}
         for name, v in point.items():
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"a coordinate must be an int or a Fraction, not {v!r}")
             vals[self.chart.resolve(name)] = Fraction(v)
         missing = self.variables() - set(vals)
         if missing:

@@ -13,7 +13,7 @@ from functools import reduce
 
 from .chart import KIND_DERIV, Chart
 from .errors import ChartMismatch, SingularCoframe, UnknownName
-from .expr import Expression
+from .expr import Expression, require_chart
 from . import linsolve
 
 
@@ -44,18 +44,16 @@ def _merge_sign(i_tuple, j_tuple):
 def _wedge(a, b):
     """The wedge of two forms given as {index tuple: Expression} dicts.
 
-    Both operands hold only nonzero components, and so does the result.
+    Both operands hold only nonzero components, so every product is
+    nonzero, and ``linsolve.add_entry`` keeps the result free of zeros.
     """
     out = {}
     for i_idx, x in a.items():
         for j_idx, y in b.items():
             merged, sign = _merge_sign(i_idx, j_idx)
-            if merged is None:
-                continue
-            term = x * y if sign > 0 else -(x * y)
-            prev = out.get(merged)
-            out[merged] = term if prev is None else prev + term
-    return {idx: c for idx, c in out.items() if not c.is_zero}
+            if merged is not None:
+                linsolve.add_entry(out, merged, x * y if sign > 0 else -(x * y))
+    return out
 
 
 def _check(chart, form):
@@ -72,6 +70,8 @@ class DifferentialForm:
     __slots__ = ("chart", "degree", "comps")
 
     def __init__(self, chart: Chart, degree: int, comps=None):
+        if degree < 0:
+            raise ValueError(f"a form has degree 0 or more, not {degree}")
         self.chart = chart
         self.degree = degree
         clean = {}
@@ -83,7 +83,7 @@ class DifferentialForm:
                     raise ValueError(f"bad index tuple {idx!r} for degree {degree}")
                 if idx and not (0 <= idx[0] and idx[-1] < dim):
                     raise UnknownName(f"{idx!r} holds an index outside the basis")
-                if not c.is_zero:
+                if not require_chart(c, chart, "a form component").is_zero:
                     clean[idx] = c
         self.comps = clean
 
@@ -109,7 +109,7 @@ class DifferentialForm:
             if not isinstance(c, Expression):
                 c = Expression.const(chart, c)
             if not c.is_zero:
-                comps[(idx,)] = comps.get((idx,), Expression.const(chart, 0)) + c
+                linsolve.add_entry(comps, (idx,), c)
         return DifferentialForm(chart, 1, comps)
 
     # ------------------------------------------------------------------
@@ -159,8 +159,7 @@ class DifferentialForm:
             raise ValueError("cannot add forms of different degree")
         comps = dict(self.comps)
         for idx, c in other.comps.items():
-            prev = comps.get(idx)
-            comps[idx] = c if prev is None else prev + c
+            linsolve.add_entry(comps, idx, c)
         return DifferentialForm(self.chart, self.degree, comps)
 
     def __sub__(self, other):
@@ -206,7 +205,6 @@ class DifferentialForm:
         keys = chart.basis_keys()
         every = range(len(keys))
         out = {}
-        zero = Expression.const(chart, 0)
         for idx, c in self.comps.items():
             live = c.variables()
             if any(k[0] == KIND_DERIV for k in live):
@@ -220,8 +218,7 @@ class DifferentialForm:
                 if dc.is_zero:
                     continue
                 new_idx, sign = _merge_sign((pos,), idx)
-                term = dc if sign > 0 else -dc
-                out[new_idx] = out.get(new_idx, zero) + term
+                linsolve.add_entry(out, new_idx, dc if sign > 0 else -dc)
         return DifferentialForm(self.chart, self.degree + 1, out)
 
     # ------------------------------------------------------------------
@@ -350,9 +347,9 @@ class Coframe:
 
         Returns {increasing index tuple -> Expression}, nonzero entries
         only; for a k-form the coefficient of theta^{i1} ^ ... ^ theta^{ik}
-        sits at (i1, ..., ik).  Index tuples refer to positions in the
-        coframe list.  Each component c dz^J contributes c times the wedge
-        of the inverse rows of J.
+        sits at (i1, ..., ik), positions in the coframe list.  Each
+        component c dz^J adds c times the wedge of the inverse rows of J
+        through ``linsolve.add_entry``, which drops a sum that cancels.
         """
         _check(self.chart, form)
         if form.degree == 0:
@@ -361,10 +358,8 @@ class Coframe:
         for idx, c in form.comps.items():
             rows = ({(k,): e for k, e in self.inverse[j].items()} for j in idx)
             for k, e in reduce(_wedge, rows).items():
-                term = e * c
-                prev = out.get(k)
-                out[k] = term if prev is None else prev + term
-        return {k: out[k] for k in sorted(out) if not out[k].is_zero}
+                linsolve.add_entry(out, k, e * c)
+        return dict(sorted(out.items()))
 
     def dual_frame(self):
         """Vector fields X_i with <X_i, theta^j> = delta_ij."""

@@ -1,12 +1,14 @@
 """Exact linear algebra over the expression field.
 
 A matrix is a list of sparse rows, each a ``{column: Expression}`` dict
-that stores only nonzero entries.  A rank is the size of a forward
-echelon (``Echelon``) that takes the rows one at a time, so ranks of a
-growing stack of rows cost one reduction in all; absorption and
-``invert`` need the reduced form and take plain Gauss-Jordan (``rref``).
-Because expression equality is decidable, ranks and pivots are exact; no
-numeric tolerance appears anywhere.
+that stores only nonzero entries, as do form components and a
+prolongation's ``lam`` table; ``add_entry`` adds into any such dict.  A
+rank is the size of a forward echelon (``Echelon``) that takes the rows
+one at a time, so ranks of a growing stack of rows cost one reduction in
+all; absorption and ``invert`` need the reduced form and take plain
+Gauss-Jordan (``rref``).  Both pick pivots by one rule, ``_cost``, and
+scale them to 1 by ``_unit``.  Because expression equality is decidable,
+ranks and pivots are exact; no numeric tolerance appears anywhere.
 """
 
 from __future__ import annotations
@@ -16,35 +18,38 @@ from .errors import SingularCoframe
 from .expr import Expression
 
 
-def _pick_pivot(rows, col, start):
-    """Row index of the cheapest nonzero entry in a column, or None.
+def add_entry(acc, key, term):
+    """acc[key] += term in place, deleting the entry if the sum cancels.
 
-    A constant entry is always cheapest, since dividing by it creates no
-    denominator; among constants, and among non-constants, the smaller
-    canonical size (term count of numerator plus denominator) wins, and
-    ties go to the earliest row, which keeps the reduction deterministic.
+    ``acc`` holds only nonzero entries and ``term`` is nonzero.
     """
-    best = None
-    best_cost = None
-    for r in range(start, len(rows)):
-        e = rows[r].get(col)
-        if e is None:
-            continue
-        cost = (not e.is_const, e.size, r)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = r, cost
-    return best
+    old = acc.get(key)
+    if old is not None:
+        term = old + term
+        if term.is_zero:
+            del acc[key]
+            return
+    acc[key] = term
+
+
+def _cost(e, tie):
+    """Pivot cost: a constant first (dividing by it makes no denominator),
+    then the smaller canonical size, then the smaller ``tie``."""
+    return (not e.is_const, e.size, tie)
+
+
+def _unit(row, col, chart):
+    """``row`` scaled to a 1 in column ``col``."""
+    if row[col] == 1:
+        return row
+    inv = Expression.const(chart, 1) / row[col]
+    return {c: e * inv for c, e in row.items()}
 
 
 def _subtract(row, factor, prow):
     """row -= factor * prow in place, deleting the entries that cancel."""
     for c, b in prow.items():
-        a = row.get(c)
-        v = -(factor * b) if a is None else a - factor * b
-        if v.is_zero:
-            del row[c]
-        else:
-            row[c] = v
+        add_entry(row, c, -(factor * b))
 
 
 def rref(rows, chart: Chart, max_col=None):
@@ -52,7 +57,8 @@ def rref(rows, chart: Chart, max_col=None):
 
     ``rows`` is not modified, and zero entries are dropped from the copy.
     Only columns below ``max_col`` are eligible as pivots, so trailing
-    right-hand-side columns ride along passively.
+    right-hand-side columns ride along passively.  A column's pivot is its
+    cheapest entry, ties to the earliest row.
     """
     rows = [{c: e for c, e in r.items() if not e.is_zero} for r in rows]
     cols = sorted({c for r in rows for c in r})
@@ -63,15 +69,17 @@ def rref(rows, chart: Chart, max_col=None):
     for col in cols:
         if r0 >= len(rows):
             break
-        pr = _pick_pivot(rows, col, r0)
+        pr = best = None
+        for r in range(r0, len(rows)):
+            e = rows[r].get(col)
+            if e is not None:
+                cost = _cost(e, r)
+                if best is None or cost < best:
+                    pr, best = r, cost
         if pr is None:
             continue
         rows[r0], rows[pr] = rows[pr], rows[r0]
-        prow = rows[r0]
-        piv = prow[col]
-        if not (piv == 1):
-            inv = Expression.const(chart, 1) / piv
-            prow = rows[r0] = {c: e * inv for c, e in prow.items()}
+        prow = rows[r0] = _unit(rows[r0], col, chart)
         for r in range(len(rows)):
             row = rows[r]
             factor = row.get(col)
@@ -88,9 +96,9 @@ class Echelon:
     Each kept row has a 1 in its pivot column and a 0 in the pivot
     columns of the rows kept before it, so a new row, reduced against the
     kept rows in order, meets each pivot column once.  Its pivot is its
-    cheapest entry by the rule of ``_pick_pivot``, ties to the lowest
-    column.  The rows are never reduced upwards, which a rank does not
-    need.
+    ``_cost``-cheapest entry, ties to the lowest column, the rule ``rref``
+    applies down a column.  The rows are never reduced upwards, which a
+    rank does not need.
     """
 
     def __init__(self, chart: Chart):
@@ -109,12 +117,8 @@ class Echelon:
                 _subtract(row, factor, prow)
         if not row:
             return
-        col = min(row, key=lambda c: (not row[c].is_const, row[c].size, c))
-        piv = row[col]
-        if not (piv == 1):
-            inv = Expression.const(self.chart, 1) / piv
-            row = {c: e * inv for c, e in row.items()}
-        self._rows.append((col, row))
+        col = min(row, key=lambda c: _cost(row[c], c))
+        self._rows.append((col, _unit(row, col, self.chart)))
 
 
 def rank(rows, chart: Chart) -> int:
@@ -127,9 +131,13 @@ def rank(rows, chart: Chart) -> int:
 def invert(rows, chart: Chart):
     """Inverse of a square matrix of expressions, as sparse rows.
 
-    Raises SingularCoframe when the determinant vanishes identically.
+    Raises SingularCoframe when the matrix is not square (a row has an
+    entry in a column at or beyond the number of rows) or when its
+    determinant vanishes identically.
     """
     n = len(rows)
+    if any(c >= n for row in rows for c in row):
+        raise SingularCoframe(f"a {n}-row matrix has an entry beyond column {n - 1}")
     one = Expression.const(chart, 1)
     aug = [{**row, n + i: one} for i, row in enumerate(rows)]
     red, pivots = rref(aug, chart, max_col=n)

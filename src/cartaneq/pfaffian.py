@@ -214,9 +214,7 @@ def _shifted(pi_forms, theta_forms, lam):
     for (rho, i), e in lam.items():
         row = comps[rho]
         for idx, c in theta_forms[i].comps.items():
-            term = e * c
-            prev = row.get(idx)
-            row[idx] = -term if prev is None else prev - term
+            linsolve.add_entry(row, idx, -(e * c))
     return [DifferentialForm(p.chart, 1, c) for p, c in zip(pi_forms, comps)]
 
 
@@ -340,9 +338,8 @@ def _stacked_ranks(a, A, flag, chart):
         # rows of A(v): one per alpha, columns rho
         rows = [{} for _ in range(a)]
         for (alpha, rho, i), entry in A.items():
-            term = entry * v[i]
-            prev = rows[alpha].get(rho)
-            rows[alpha][rho] = term if prev is None else prev + term
+            if v[i]:
+                linsolve.add_entry(rows[alpha], rho, entry * v[i])
         for row in rows:
             echelon.add(row)
         sigma.append(len(echelon))
@@ -494,7 +491,7 @@ def prolong(system: PfaffianSystem) -> PfaffianSystem:
     choices become coordinates lam_slot on the prolonged space, and the
     shifted fiber forms pi' = pi - lam theta join the system block, with
     one table ``lam[rho, i] = particular + sum_slot lam_slot homogeneous``
-    built slot by slot and holding only nonzero entries.
+    summed slot by slot through ``linsolve.add_entry``, so nonzero only.
 
     The prolonged coframe is omega, pi', theta, dlam, so the parent's
     inverse and the same table give its inverse with no elimination (see
@@ -513,10 +510,7 @@ def prolong(system: PfaffianSystem) -> PfaffianSystem:
     for name, slot in zip(lam_names, sol.free):
         var = Expression.var(big, name)
         for key, coeff in sol.homogeneous[slot].items():
-            extra = var * coeff.rebase(big)
-            prev = lam.get(key)
-            lam[key] = extra if prev is None else prev + extra
-    lam = {key: e for key, e in lam.items() if not e.is_zero}
+            linsolve.add_entry(lam, key, var * coeff.rebase(big))
 
     theta = [t.rebase(big) for t in system.theta]
     omega = [w.rebase(big) for w in system.omega] + _shifted(
@@ -535,9 +529,9 @@ def _prolonged_inverse(system: PfaffianSystem, big: Chart, lam):
     sum_i lam[rho, i] theta^i with ``lam`` the table ``prolong`` built.
     Put pi^rho = pi'^rho + sum_i lam[rho, i] theta^i into M[j]: the omega
     and pi entries keep their values in the columns of omega and pi', and
-    the theta^i entry gains sum_rho M[j][pi^rho] lam[rho, i].  The new
-    coordinates lam follow the parent's coordinates in the basis, each
-    with the unit row of its own dlam, ahead of any parameter rows.
+    the theta^i entry gains sum_rho M[j][pi^rho] lam[rho, i], or goes if
+    that cancels it.  The new coordinates lam follow the parent's in the
+    basis, each with the unit row of its dlam, ahead of any parameter rows.
     """
     a, n, r = len(system.omega), len(system.theta), len(system.pi)
     nc = len(system.chart.coords)
@@ -555,11 +549,8 @@ def _prolonged_inverse(system: PfaffianSystem, big: Chart, lam):
                 new[c - n] = e
         for (rho, i), coeff in lam.items():
             m = new.get(a + rho)  # M[j][pi^rho], now in the column of pi'
-            if m is None:
-                continue
-            col = a + r + i
-            prev = new.get(col)
-            new[col] = m * coeff if prev is None else prev + m * coeff
-        rows.append({c: v for c, v in new.items() if not v.is_zero})
+            if m is not None:
+                linsolve.add_entry(new, a + r + i, m * coeff)
+        rows.append(new)
     lam_rows = [{a + r + n + l: one} for l in range(big.dim - system.chart.dim)]
     return rows[:nc] + lam_rows + rows[nc:]

@@ -382,3 +382,13 @@ def test_evaluate_requires_all_variables_and_flags_poles():
         e.evaluate({"x": Fraction(1)})
     with pytest.raises(DivisionByZero):
         e.evaluate({"x": Fraction(1), "y": Fraction(0)})
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1/2"])
+def test_constants_and_points_are_exact(bad):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError):
+        Expression.const(CH, bad)
+    with pytest.raises(TypeError):
+        E("x").evaluate({"x": bad})
+    assert Expression.const(CH, Fraction(1, 10)).evaluate({}) == Fraction(1, 10)

@@ -308,3 +308,49 @@ def test_form_rejects_an_index_past_the_basis_when_built():
 def test_vector_field_rejects_a_coefficient_from_another_chart():
     with pytest.raises(ChartMismatch):
         VectorField(ode2_chart(), {"x": Expression.var(CH, "p")})
+
+
+def test_a_form_refuses_bad_components_degrees_and_scalars():
+    # d would otherwise differentiate the component along this chart's keys
+    xy = Chart(coords=("x", "y"))
+    with pytest.raises(ChartMismatch):
+        DifferentialForm(xy, 1, {(0,): Expression.var(Chart(coords=("y", "x")), "x")})
+    with pytest.raises(TypeError):
+        DifferentialForm(xy, 1, {(0,): 3})
+    with pytest.raises(ValueError):
+        DifferentialForm(xy, -1)
+    for bad in (0.1, "1/2"):
+        with pytest.raises(TypeError):
+            B("x") * bad
+        with pytest.raises(TypeError):
+            DifferentialForm.one_form(CH, {"x": bad})
+        with pytest.raises(TypeError):
+            VectorField(CH, {"x": bad})
+
+
+def test_d_adds_nothing_onto_a_fresh_component(monkeypatch):
+    # d(y dx + p dy) = -dx^dy - dy^dp: each component lands on its own key
+    adds = []
+    real = Expression.__add__
+
+    def spy(self, other):
+        adds.append(other)
+        return real(self, other)
+
+    form = E("y") * B("x") + E("p") * B("y")
+    monkeypatch.setattr(Expression, "__add__", spy)
+    got = form.d()
+    monkeypatch.undo()
+    assert adds == []
+    assert got.comps == {(0, 1): E("-1"), (1, 2): E("-1")}
+
+
+def test_components_that_cancel_are_absent():
+    w = E("y") * B("x") + E("p") * B("y")
+    assert (w + (-w)).comps == {}
+    assert (E("y") * B("x") + E("x") * B("y")).d().comps == {}
+    assert w.wedge(w).comps == {}
+    # dy = theta1 - theta2 and dp = theta2, so theta0^theta2 cancels
+    cf = Coframe(CH, [B("x"), B("y") + B("p"), B("p")])
+    form = B("x").wedge(B("y")) + B("x").wedge(B("p"))
+    assert cf.express(form) == {(0, 1): E("1")}

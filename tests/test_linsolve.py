@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cartaneq import Chart, Expression, SingularCoframe
-from cartaneq.linsolve import invert, rank, rref
+from cartaneq.linsolve import add_entry, invert, rank, rref
 from cartaneq.pfaffian import contact_system
 
 from conftest import seeded
@@ -181,3 +181,20 @@ def test_contact_coframe_inverts_by_constant_pivots(monkeypatch):
                 zero,
             )
             assert s == (1 if i == j else 0)
+
+
+def test_invert_refuses_a_matrix_that_is_not_square():
+    # column 1 of a one-row matrix would land on the identity column n + 0
+    with pytest.raises(SingularCoframe):
+        invert([{0: C(2), 1: C(3)}], CH)
+    with pytest.raises(SingularCoframe):
+        invert([{0: C(1)}, {1: C(1), 2: C(1)}], CH)
+
+
+def test_add_entry_keeps_only_nonzero_entries():
+    acc = {}
+    add_entry(acc, 0, C(1))
+    add_entry(acc, 0, C(2))
+    assert acc == {0: C(3)}
+    add_entry(acc, 0, C(-3))
+    assert acc == {}
