@@ -187,28 +187,28 @@ class Chart:
 
         The part after the underscore is matched greedily against the
         function's argument names (longest first), so multi-character
-        coordinates such as ``dx1`` concatenate unambiguously.
+        coordinates such as ``dx1`` concatenate unambiguously; an empty
+        part (``f_``) is refused.
         """
         if name in self._index:
             return self._index[name]
-        if "_" in name:
-            fname, _, tail = name.partition("_")
-            if fname in self._index and self._index[fname][0] == KIND_DERIV:
-                fn = self.functions[self._index[fname][1]]
-                by_len = sorted(fn.args, key=len, reverse=True)
-                args = []
-                rest = tail
-                while rest:
-                    for a in by_len:
-                        if rest.startswith(a):
-                            args.append(a)
-                            rest = rest[len(a):]
-                            break
-                    else:
-                        raise UnknownName(
-                            f"{name!r}: {rest!r} does not match arguments of {fname!r}"
-                        )
-                return self.deriv_key(fname, args)
+        fname, _, tail = name.partition("_")
+        if tail and fname in self._index and self._index[fname][0] == KIND_DERIV:
+            fn = self.functions[self._index[fname][1]]
+            by_len = sorted(fn.args, key=len, reverse=True)
+            args = []
+            rest = tail
+            while rest:
+                for a in by_len:
+                    if rest.startswith(a):
+                        args.append(a)
+                        rest = rest[len(a):]
+                        break
+                else:
+                    raise UnknownName(
+                        f"{name!r}: {rest!r} does not match arguments of {fname!r}"
+                    )
+            return self.deriv_key(fname, args)
         raise UnknownName(f"{name!r} is not declared on this chart")
 
     # ------------------------------------------------------------------

@@ -364,6 +364,23 @@ def require_chart(e, chart: Chart, name: str) -> Expression:
     return e
 
 
+class Partials(dict):
+    """The partials of one expression, keyed by sorted index tuples.
+
+    ``along[i]`` names the direction of index i, so ``[i, j]`` is the
+    partial along i, then j.  Mixed partials commute, so each is taken
+    once, when first read, from the entry one index shorter.
+    """
+
+    def __init__(self, e: Expression, along):
+        super().__init__({(): e})
+        self.along = along
+
+    def __missing__(self, index):
+        got = self[index] = self[index[:-1]].partial(self.along[index[-1]])
+        return got
+
+
 class VariableMap:
     """The image of expressions under an assignment of every variable.
 
@@ -438,7 +455,7 @@ class Substitution(VariableMap):
     The value may only involve the function's declared arguments (and
     opaque symbols depending on a subset of them); anything else would
     contradict the partials already taken, so it raises ArgumentEscape.
-    Each partial of the value is taken once, when first needed.
+    The partials of the value are one ``Partials`` table.
     """
 
     def __init__(self, chart: Chart, fname: str, value: Expression):
@@ -467,18 +484,11 @@ class Substitution(VariableMap):
                         f"{inner.name!r} depends on more than the arguments of {fname!r}"
                     )
 
-        derivs = {(): value}
-
-        def deriv_along(index):
-            got = derivs.get(index)
-            if got is None:
-                prev = deriv_along(index[:-1])
-                got = derivs[index] = prev.partial(chart.key_of(fn.args[index[-1]]))
-            return got
+        derivs = Partials(value, [chart.key_of(a) for a in fn.args])
 
         def image(k):
             if k[0] == KIND_DERIV and k[1] == fidx:
-                return deriv_along(k[3])
+                return derivs[k[3]]
             return Expression.from_key(chart, k)
 
         super().__init__(chart, image)

@@ -10,6 +10,7 @@ lets d see through opaque function symbols.
 from __future__ import annotations
 
 from functools import reduce
+from operator import add
 
 from .chart import KIND_DERIV, Chart
 from .errors import ChartMismatch, SingularCoframe, UnknownName
@@ -119,7 +120,8 @@ class DifferentialForm:
         return not self.comps
 
     def coefficient(self, idx) -> Expression:
-        return self.comps.get(tuple(idx), Expression.const(self.chart, 0))
+        got = self.comps.get(tuple(idx))
+        return got if got is not None else Expression.const(self.chart, 0)
 
     def coefficient_named(self, *names) -> Expression:
         idx = tuple(
@@ -250,49 +252,49 @@ class VectorField:
     """A derivation D = sum(c_v d/dv) over the basis directions.
 
     ``comps`` maps a basis direction, by name or by basis index, to its
-    coefficient; the frame fields of a coframe and the total derivatives
-    along an equation are both of this kind.
+    coefficient, each direction once; the frame fields of a coframe and
+    the total derivatives along an equation are both of this kind.
     """
 
     __slots__ = ("chart", "comps")
 
     def __init__(self, chart: Chart, comps):
         self.chart = chart
-        clean = {}
+        given = {}
         for idx, c in comps.items():
             if isinstance(idx, str):
                 idx = chart.basis_index(chart.key_of(idx))
             elif idx not in range(chart.dim):
                 raise UnknownName(f"{idx!r} is not a basis index")
+            if idx in given:
+                raise ValueError(f"basis direction {idx} is given twice")
             if not isinstance(c, Expression):
                 c = Expression.const(chart, c)
             elif c.chart != chart:
                 raise ChartMismatch("coefficient lives on a different chart")
-            if not c.is_zero:
-                clean[idx] = c
-        self.comps = clean
+            given[idx] = c
+        self.comps = {idx: c for idx, c in given.items() if not c.is_zero}
+
+    def _sum(self, terms):
+        """The sum of the nonzero ``terms``; a zero is built only for none."""
+        terms = list(terms)
+        return reduce(add, terms) if terms else Expression.const(self.chart, 0)
 
     def __call__(self, h: Expression) -> Expression:
         """Directional derivative of a scalar."""
         if h.chart != self.chart:
             raise ChartMismatch("scalar lives on a different chart")
         keys = self.chart.basis_keys()
-        out = Expression.const(self.chart, 0)
-        for idx, c in self.comps.items():
-            out = out + c * h.partial(keys[idx])
-        return out
+        partials = ((c, h.partial(keys[idx])) for idx, c in self.comps.items())
+        return self._sum(c * dh for c, dh in partials if not dh.is_zero)
 
     def pair(self, form: DifferentialForm) -> Expression:
         """Interior pairing with a 1-form."""
         _check(self.chart, form)
         if form.degree != 1:
             raise ValueError("pairing is defined against 1-forms")
-        out = Expression.const(self.chart, 0)
-        for (i,), c in form.comps.items():
-            x = self.comps.get(i)
-            if x is not None:
-                out = out + x * c
-        return out
+        return self._sum(self.comps[i] * c for (i,), c in form.comps.items()
+                         if i in self.comps)
 
     def __repr__(self):
         from .parser import render_text

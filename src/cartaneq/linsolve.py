@@ -7,8 +7,10 @@ rank is the size of a forward echelon (``Echelon``) that takes the rows
 one at a time, so ranks of a growing stack of rows cost one reduction in
 all; absorption and ``invert`` need the reduced form and take plain
 Gauss-Jordan (``rref``).  Both pick pivots by one rule, ``_cost``, and
-scale them to 1 by ``_unit``.  Because expression equality is decidable,
-ranks and pivots are exact; no numeric tolerance appears anywhere.
+scale them to 1 by ``_unit``.  A pivot carries its chart, so only
+``invert``, which builds an identity, takes one.  Because expression
+equality is decidable, ranks and pivots are exact; no numeric tolerance
+appears anywhere.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ def _cost(e, tie):
     return (not e.is_const, e.size, tie)
 
 
-def _unit(row, col, chart):
+def _unit(row, col):
     """``row`` scaled to a 1 in column ``col``."""
     if row[col] == 1:
         return row
-    inv = Expression.const(chart, 1) / row[col]
+    inv = 1 / row[col]
     return {c: e * inv for c, e in row.items()}
 
 
@@ -52,7 +54,7 @@ def _subtract(row, factor, prow):
         add_entry(row, c, -(factor * b))
 
 
-def rref(rows, chart: Chart, max_col=None):
+def rref(rows, max_col=None):
     """Reduced row echelon form; returns (new_rows, pivot_columns).
 
     ``rows`` is not modified, and zero entries are dropped from the copy.
@@ -79,7 +81,7 @@ def rref(rows, chart: Chart, max_col=None):
         if pr is None:
             continue
         rows[r0], rows[pr] = rows[pr], rows[r0]
-        prow = rows[r0] = _unit(rows[r0], col, chart)
+        prow = rows[r0] = _unit(rows[r0], col)
         for r in range(len(rows)):
             row = rows[r]
             factor = row.get(col)
@@ -101,8 +103,7 @@ class Echelon:
     rank does not need.
     """
 
-    def __init__(self, chart: Chart):
-        self.chart = chart
+    def __init__(self):
         self._rows = []
 
     def __len__(self):
@@ -118,11 +119,11 @@ class Echelon:
         if not row:
             return
         col = min(row, key=lambda c: _cost(row[c], c))
-        self._rows.append((col, _unit(row, col, self.chart)))
+        self._rows.append((col, _unit(row, col)))
 
 
-def rank(rows, chart: Chart) -> int:
-    echelon = Echelon(chart)
+def rank(rows) -> int:
+    echelon = Echelon()
     for row in rows:
         echelon.add(row)
     return len(echelon)
@@ -140,7 +141,7 @@ def invert(rows, chart: Chart):
         raise SingularCoframe(f"a {n}-row matrix has an entry beyond column {n - 1}")
     one = Expression.const(chart, 1)
     aug = [{**row, n + i: one} for i, row in enumerate(rows)]
-    red, pivots = rref(aug, chart, max_col=n)
+    red, pivots = rref(aug, max_col=n)
     if pivots != list(range(n)):
         raise SingularCoframe("matrix is singular")
     return [{c - n: e for c, e in row.items() if c >= n} for row in red]

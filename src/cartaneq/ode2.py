@@ -11,7 +11,7 @@ class contains y'' = 6y^2 + x (Painleve I) as normal form target.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .chart import Chart
 from .errors import (
@@ -56,7 +56,9 @@ class EquivalenceReport:
     off that torsion table: the fundamental invariants ``I1``, ``I2``,
     ``I3`` are the entries T[0,1,2], T[3,0,1] and T[3,1,2], ``essential``
     is every nonzero entry up to sign, and ``involution`` is Cartan's
-    test on the structure.
+    test on the structure.  A concrete report (``run_equivalence_ode2``
+    of an f) holds the torsion table alone, and maps theta and the frame
+    from the symbolic report when they are first read.
     """
 
     def __init__(self, chart, theta, frame, structure):
@@ -124,10 +126,9 @@ def _symbolic_report() -> EquivalenceReport:
     th3 = dx
     pi = (one / a3) * da3
 
-    lifted = coframe_structure_equations(ch, [th1, th2, th3], [pi])
-    th4 = absorb_torsion(lifted).absorbed_pi_forms()[0]
-
-    theta = [th1, th2, th3, th4]
+    theta = [th1, th2, th3]
+    lifted = coframe_structure_equations(ch, theta, [pi])
+    theta += absorb_torsion(lifted).absorbed_pi_forms(theta, [pi])
     frame = Coframe(ch, theta).dual_frame()
     return EquivalenceReport(
         ch, theta, frame, coframe_structure_equations(ch, theta, [])
@@ -152,38 +153,46 @@ def _on_chart(f, chart: Chart) -> Expression:
         ) from None
 
 
-def _mapped_frame(se: Substitution, frame):
-    """The frame fields with every component sent through ``se``."""
-    return [
-        VectorField(se.chart, {i: se(c) for i, c in X.comps.items()})
-        for X in frame
-    ]
+class _ConcreteReport(EquivalenceReport):
+    """The symbolic report ``sym`` under the ``Substitution`` ``se``.
+
+    The torsion table is mapped at once, its constant entries as they
+    are; theta and the frame are mapped when first read, and kept.
+    """
+
+    def __init__(self, sym, se):
+        s = sym.structure
+        T = {k: c if c.is_const else se(c) for k, c in s.T.items()}
+        self.chart = se.chart
+        self.structure = StructureEquations(se.chart, s.a, s.n, s.r, {}, T)
+        self._sym, self._se = sym, se
+
+    def _mapped(self, field_or_form):
+        return {i: self._se(c) for i, c in field_or_form.comps.items()}
+
+    @cached_property
+    def theta(self):
+        return [DifferentialForm(self.chart, 1, self._mapped(t))
+                for t in self._sym.theta]
+
+    @cached_property
+    def frame(self):
+        return [VectorField(self.chart, self._mapped(X)) for X in self._sym.frame]
 
 
 def run_equivalence_ode2(f: Expression | None = None) -> EquivalenceReport:
     """Invariant coframe of y'' = f; symbolic f when none is given.
 
-    The symbolic run is computed once and cached.  For a concrete
-    right-hand side one ``Substitution`` maps its coframe, frame and
-    torsion table; the invariants are read off that table.  This class
-    needs no prolongation.
+    The symbolic run is computed once and cached.  A concrete right-hand
+    side gives that report under one ``Substitution`` of f, which maps
+    the torsion table, and so the invariants, at once, and theta and the
+    frame when they are first read.  This class needs no prolongation.
     """
     rep = _symbolic_report()
     if f is None:
         return rep
     ch = rep.chart
-    se = Substitution(ch, "f", _on_chart(f, ch))
-    theta = [
-        DifferentialForm(ch, 1, {i: se(c) for i, c in t.comps.items()})
-        for t in rep.theta
-    ]
-    frame = _mapped_frame(se, rep.frame)
-    sym = rep.structure
-    structure = StructureEquations(
-        ch, sym.a, sym.n, sym.r, {},
-        {k: se(c) for k, c in sym.T.items()}, theta, [],
-    )
-    return EquivalenceReport(ch, theta, frame, structure)
+    return _ConcreteReport(rep, Substitution(ch, "f", _on_chart(f, ch)))
 
 
 # ----------------------------------------------------------------------
@@ -322,25 +331,20 @@ def painleve_map(f: Expression):
     eta = -I1/12 and C = -(1/24) I1^2 - (1/12) X3(X3(I1)) - x, and the
     four closure residuals -12 X_i(C) must vanish (otherwise NotEquivalent
     listing the failures; a flat equation fails the X3 relation with
-    residual 12).  One ``Substitution`` of f maps only what this reads,
-    in turn: I2, I3, I1 and the four frame fields, at most 12 of the 24
-    components of the symbolic report.
+    residual 12).  It reads the concrete report: the invariants and the
+    four frame fields, 12 of the 24 components of the symbolic report.
     """
     from .parser import render_text
 
-    sym = _symbolic_report()
-    ch = sym.chart
-    se = Substitution(ch, "f", _on_chart(f, ch))
-    I2 = se(sym.I2)
+    rep = run_equivalence_ode2(f)
+    ch = rep.chart
+    I1, I2, I3 = rep.invariants
     if not I2.is_zero:
         raise NotInClass("I2", render_text(I2))
-    I3 = se(sym.I3)
     if not I3.is_zero:
         raise NotInClass("I3", render_text(I3))
 
-    I1 = se(sym.I1)
-    frame = _mapped_frame(se, sym.frame)
-    X3 = frame[2]
+    X3 = rep.frame[2]
     c24 = Expression.const(ch, Fraction(-1, 24))
     c12 = Expression.const(ch, Fraction(-1, 12))
     x = Expression.var(ch, "x")
@@ -348,7 +352,7 @@ def painleve_map(f: Expression):
     C = c24 * I1 * I1 + c12 * X3(X3(I1)) - x
 
     failures = {}
-    for name, X in zip(("X1", "X2", "X3", "X4"), frame):
+    for name, X in zip(("X1", "X2", "X3", "X4"), rep.frame):
         res = Expression.const(ch, -12) * X(C)
         if not res.is_zero:
             failures[name] = render_text(res)

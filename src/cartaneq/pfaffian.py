@@ -32,19 +32,18 @@ class StructureEquations:
 
     ``A`` maps (alpha, rho, i) to the pi^rho ^ theta^i coefficient of
     d omega^alpha and ``T`` maps (alpha, j, k), j < k, to the torsion
-    coefficient; absent keys are zero.  The object is read-only: its
-    absorption is solved once and kept.
+    coefficient; absent keys are zero.  The object holds these tables
+    alone, not the forms they came from, and is read-only: its absorption
+    is solved once and kept.
     """
 
-    def __init__(self, chart, a, n, r, A, T, theta_forms, pi_forms):
+    def __init__(self, chart, a, n, r, A, T):
         self.chart = chart
         self.a = a
         self.n = n
         self.r = r
         self.A = A
         self.T = T
-        self.theta_forms = list(theta_forms)
-        self.pi_forms = list(pi_forms)
         self._absorption = None
 
     def tableau_entry(self, alpha: int, rho: int, i: int) -> Expression:
@@ -52,14 +51,10 @@ class StructureEquations:
         return got if got is not None else Expression.const(self.chart, 0)
 
     def torsion_entry(self, alpha: int, j: int, k: int) -> Expression:
-        zero = Expression.const(self.chart, 0)
-        if j == k:
-            return zero
         if j > k:
-            e = self.T.get((alpha, k, j))
-            return -e if e is not None else zero
-        e = self.T.get((alpha, j, k))
-        return e if e is not None else zero
+            return -self.torsion_entry(alpha, k, j)
+        got = self.T.get((alpha, j, k))  # no key has j == k
+        return got if got is not None else Expression.const(self.chart, 0)
 
 
 class PfaffianSystem:
@@ -122,9 +117,7 @@ def _structure_equations(coframe, omega, theta, pi) -> StructureEquations:
             else:
                 # stored as theta^i ^ pi^rho; the tableau is the pi ^ theta side
                 A[(alpha, v - offset - n, u - offset)] = -c
-    return StructureEquations(
-        coframe.chart, len(omega), n, r, A, T, theta, pi
-    )
+    return StructureEquations(coframe.chart, len(omega), n, r, A, T)
 
 
 def structure_equations(system: PfaffianSystem) -> StructureEquations:
@@ -199,10 +192,10 @@ class AbsorptionSolution:
             self.equations.chart, 0
         )
 
-    def absorbed_pi_forms(self):
-        """The shifted fiber forms pi - lam theta (free choices at zero)."""
-        eqs = self.equations
-        return _shifted(eqs.pi_forms, eqs.theta_forms, self.particular)
+    def absorbed_pi_forms(self, theta_forms, pi_forms):
+        """The shifted fiber forms pi - lam theta (free choices at zero) of
+        the forms that the structure equations were taken from."""
+        return _shifted(pi_forms, theta_forms, self.particular)
 
 
 def _shifted(pi_forms, theta_forms, lam):
@@ -256,7 +249,7 @@ def _solve_absorption(eqs: StructureEquations) -> AbsorptionSolution:
                 row[ncols] = t
             rows.append(row)
 
-    red, pivots = linsolve.rref(rows, chart, max_col=ncols)
+    red, pivots = linsolve.rref(rows, max_col=ncols)
     pivot_set = set(pivots)
 
     # a row left with only its right-hand side is unabsorbable torsion
@@ -326,14 +319,14 @@ _FLAG_SPAN = 9
 flag_fallbacks = 0
 
 
-def _stacked_ranks(a, A, flag, chart):
+def _stacked_ranks(a, A, flag):
     """sigma_k, the rank of A(v_1), ..., A(v_k) stacked, for k = 1..n.
 
     ``flag[k][i]`` is the i-th component of v_k.  The blocks go into one
     echelon in turn, and sigma_k is its rank once A(v_k) is in.
     """
     sigma = []
-    echelon = linsolve.Echelon(chart)
+    echelon = linsolve.Echelon()
     for v in flag:
         # rows of A(v): one per alpha, columns rho
         rows = [{} for _ in range(a)]
@@ -356,7 +349,7 @@ def _symbolic_sigma(eqs: StructureEquations):
         for k in range(n)
     ]
     A_big = {key: e.rebase(big) for key, e in eqs.A.items()}
-    return _stacked_ranks(eqs.a, A_big, flag, big)
+    return _stacked_ranks(eqs.a, A_big, flag)
 
 
 def cartan_characters(eqs: StructureEquations) -> InvolutionReport:
@@ -381,7 +374,6 @@ def cartan_characters(eqs: StructureEquations) -> InvolutionReport:
     ``flag_fallbacks``.
     """
     global flag_fallbacks
-    chart = eqs.chart
     a, n, r = eqs.a, eqs.n, eqs.r
 
     if r == 0 or n == 0:
@@ -396,7 +388,7 @@ def cartan_characters(eqs: StructureEquations) -> InvolutionReport:
     ker_rows = [{} for _ in range(a * n)]
     for (alpha, rho, i), entry in eqs.A.items():
         ker_rows[alpha * n + i][rho] = entry
-    full_rank = linsolve.rank(ker_rows, chart)
+    full_rank = linsolve.rank(ker_rows)
     kernel_dim = r - full_rank
     dim_prolongation = free_lambda - n * kernel_dim
 
@@ -410,7 +402,7 @@ def cartan_characters(eqs: StructureEquations) -> InvolutionReport:
             [rng.randint(-_FLAG_SPAN, _FLAG_SPAN) for _ in range(n)]
             for _ in range(n)
         ]
-        sigma = _stacked_ranks(a, eqs.A, flag, chart)
+        sigma = _stacked_ranks(a, eqs.A, flag)
         if sigma[-1] == full_rank and bound(sigma) == dim_prolongation:
             break
     else:

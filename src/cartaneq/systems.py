@@ -6,10 +6,8 @@ to the flat model exactly when every residual vanishes identically.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-
 from .chart import Chart
-from .expr import Expression, require_chart
+from .expr import Expression, Partials, require_chart
 from .forms import VectorField
 from .ode2 import FlatnessReport
 
@@ -24,20 +22,6 @@ def pdesys_chart() -> Chart:
     return Chart(coords=("x1", "x2", "u", "u1", "u2"))
 
 
-def _partials(e: Expression, prefix: str, order: int):
-    """The partials of e along ``prefix`` 1 and 2, up to ``order``.
-
-    They are keyed by sorted index tuples: ``[1, 2]`` is the partial
-    along prefix1, then prefix2.  Mixed partials commute, so each is
-    taken once, from the entry one index shorter.
-    """
-    out = {(): e}
-    for k in range(1, order + 1):
-        for idx in combinations_with_replacement((1, 2), k):
-            out[idx] = out[idx[:-1]].partial(f"{prefix}{idx[-1]}")
-    return out
-
-
 def check_flat_ode_system(F1: Expression, F2: Expression) -> FlatnessReport:
     """The eight obstructions for x'' = F(t, x, x') to linearize to x'' = 0.
 
@@ -49,7 +33,8 @@ def check_flat_ode_system(F1: Expression, F2: Expression) -> FlatnessReport:
     F1 = require_chart(F1, ch, "F1")
     F2 = require_chart(F2, ch, "F2")
     # the velocity partials of F1 and F2, and the first ones bound once
-    P, Q = _partials(F1, "dx", 3), _partials(F2, "dx", 3)
+    along = {1: "dx1", 2: "dx2"}
+    P, Q = Partials(F1, along), Partials(F2, along)
     P1, P2, Q1, Q2 = P[1,], P[2,], Q[1,], Q[2,]
     D0 = VectorField(ch, {
         "t": 1,
@@ -83,9 +68,10 @@ def check_flat_pde_system(f11: Expression, f12: Expression,
                           f22: Expression) -> FlatnessReport:
     """Obstructions for u_ij = f_ij(x, u, u') to flatten to u_ij = 0."""
     ch = pdesys_chart()
-    f11 = _partials(require_chart(f11, ch, "f11"), "u", 2)
-    f12 = _partials(require_chart(f12, ch, "f12"), "u", 2)
-    f22 = _partials(require_chart(f22, ch, "f22"), "u", 2)
+    along = {1: "u1", 2: "u2"}
+    f11 = Partials(require_chart(f11, ch, "f11"), along)
+    f12 = Partials(require_chart(f12, ch, "f12"), along)
+    f22 = Partials(require_chart(f22, ch, "f22"), along)
 
     r1 = f11[2, 2]
     r2 = f22[1, 1]

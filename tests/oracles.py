@@ -6,11 +6,11 @@ arithmetic.  The point-map image of the flat ODE system uses that
 arithmetic, but none of the flatness formulas it is checked against.
 The two expression oracles reduce against whole denominators, where the
 library reduces against the factors that can be shared.  The Painleve
-oracle reads the whole concrete report, where the library maps only
-the components it reads.  The stacked-rank oracle row-reduces each
-stack of flag blocks from scratch, where the library grows one echelon.
-The contact generators are sums of form operations, where the library
-builds each in one piece.
+oracle spells out the closure formula on the concrete report, and a
+general map recovery must agree with it.  The stacked-rank oracle
+row-reduces each stack of flag blocks from scratch, where the library
+grows one echelon.  The contact generators are sums of form
+operations, where the library builds each in one piece.
 """
 
 from fractions import Fraction
@@ -80,7 +80,7 @@ def numeric_structure(rng, a, n, r, span=3):
                 v = rng.randint(-span, span)
                 if v:
                     T[(alpha, j, k)] = Expression.const(ch, v)
-    return StructureEquations(ch, a, n, r, A, T, [], [])
+    return StructureEquations(ch, a, n, r, A, T)
 
 
 def _aval(eqs, alpha, rho, i):
@@ -175,9 +175,7 @@ def check_absorption_against_brute_force(eqs, sol):
     else:
         assert any(v != 0 for v in res.values())
     # the homogeneous basis really solves the T = 0 system
-    zeroed = StructureEquations(
-        eqs.chart, a, n, r, eqs.A, {}, [], []
-    )
+    zeroed = StructureEquations(eqs.chart, a, n, r, eqs.A, {})
     zero = Fraction(0)
     assert sorted(sol.homogeneous) == sorted(sol.free)
     for h in sol.homogeneous.values():
@@ -219,7 +217,7 @@ def brute_force_sigma(eqs, rng, tries=100, span=4):
     return tuple(best)
 
 
-def stacked_ranks(a, A, flag, chart):
+def stacked_ranks(a, A, flag):
     """sigma_k by Gauss-Jordan on the whole stack, once per k.
 
     The library's ``pfaffian._stacked_ranks`` grows one echelon block by
@@ -236,7 +234,7 @@ def stacked_ranks(a, A, flag, chart):
             prev = rows[alpha].get(rho)
             rows[alpha][rho] = term if prev is None else prev + term
         stacked.extend(rows)
-        sigma.append(len(rref(stacked, chart)[1]))
+        sigma.append(len(rref(stacked)[1]))
     return sigma
 
 
@@ -287,7 +285,7 @@ def flat_system_under_point_map(T, X1, X2):
 
 
 def painleve_map_via_report(f):
-    """(eta, C) for y'' = f, read off the full ``run_equivalence_ode2``
+    """(eta, C) for y'' = f, read off the ``run_equivalence_ode2``
     report: the invariants from its torsion table and the closure
     residuals -12 X_i(C) from its frame.  Raises as ``painleve_map``."""
     rep = run_equivalence_ode2(f)

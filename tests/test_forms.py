@@ -305,6 +305,32 @@ def test_form_rejects_an_index_past_the_basis_when_built():
     assert not DifferentialForm(ode2_chart(), 2, {(1, 2): one}).is_zero
 
 
+def test_vector_field_refuses_a_direction_given_twice():
+    # else the later entry would replace the earlier one unseen
+    with pytest.raises(ValueError):
+        VectorField(ode2_chart(), {0: 1, "x": 2})
+    with pytest.raises(ValueError):
+        VectorField(ode2_chart(), {"y": 0, 1: 3})
+
+
+def test_a_one_component_field_adds_nothing(monkeypatch):
+    # applied and paired, its one term is the answer, not 0 plus it
+    adds = []
+    real = Expression.__add__
+
+    def spy(self, other):
+        adds.append(other)
+        return real(self, other)
+
+    X = VectorField(CH, {"y": E("p")})
+    form = E("x") * B("y") + B("x")
+    monkeypatch.setattr(Expression, "__add__", spy)
+    got = X(E("x*y")), X.pair(form), X(E("x"))
+    monkeypatch.undo()
+    assert adds == []
+    assert got == (E("x*p"), E("x*p"), E("0"))
+
+
 def test_vector_field_rejects_a_coefficient_from_another_chart():
     with pytest.raises(ChartMismatch):
         VectorField(ode2_chart(), {"x": Expression.var(CH, "p")})

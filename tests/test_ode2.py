@@ -259,7 +259,8 @@ def test_each_partial_of_the_rhs_is_taken_once(monkeypatch):
     run_equivalence_ode2()  # the symbolic report is built once and cached
     f = E("(x*y + p^2)/(y + 1) + p^4")
     calls = _recorded_partials(monkeypatch)
-    run_equivalence_ode2(f)
+    rep = run_equivalence_ode2(f)
+    rep.theta, rep.frame
     assert len(calls) >= 3 and len(set(calls)) == len(calls)
     calls.clear()
     check_flat_ode2(f)
@@ -294,12 +295,64 @@ def test_each_power_of_an_image_is_computed_once(monkeypatch):
         calls.append((self, n))
         return raw(self, n)
 
-    # one Substitution maps the 24 components of the report
+    # one Substitution maps the torsion table, then theta and the frame
     monkeypatch.setattr(Expression, "__pow__", power)
-    run_equivalence_ode2(f)
+    rep = run_equivalence_ode2(f)
+    rep.theta, rep.frame
     # by identity: f_x, f_y and f_p are equal here but are different images;
     # ``calls`` keeps every base alive, so no id is reused
     assert calls and len({(id(b), n) for b, n in calls}) == len(calls)
+
+
+def test_a_concrete_report_maps_each_component_when_first_read(monkeypatch):
+    run_equivalence_ode2()
+    f = E("6*y^2 + x")
+    mapped = []
+    raw = Substitution.__call__
+
+    def spy(self, e):
+        mapped.append(e)
+        return raw(self, e)
+
+    monkeypatch.setattr(Substitution, "__call__", spy)
+    rep = run_equivalence_ode2(f)
+    # the six torsion entries, three of them constant
+    assert len(mapped) == 3
+    rep.frame
+    assert len(mapped) == 12
+    rep.theta
+    assert len(mapped) == 21
+    rep.frame, rep.theta
+    assert len(mapped) == 21
+    mapped.clear()
+    painleve_map(f)
+    # the three invariants and the four frame fields
+    assert len(mapped) == 12
+    monkeypatch.undo()
+    for i, X in enumerate(rep.frame):
+        for j, th in enumerate(rep.theta):
+            assert X.pair(th) == (1 if i == j else 0)
+
+
+def test_reading_a_present_entry_builds_no_zero(monkeypatch):
+    rep = run_equivalence_ode2()
+    made = []
+    raw = Expression.const
+
+    def const(chart, value):
+        made.append(value)
+        return raw(chart, value)
+
+    monkeypatch.setattr(Expression, "const", staticmethod(const))
+    I1 = rep.I1
+    rep.invariants, rep.structure.torsion_entry(0, 2, 1)
+    rep.theta[2].coefficient((0,))
+    assert made == []
+    rep.structure.torsion_entry(0, 1, 1)
+    rep.theta[2].coefficient((1,))
+    assert made == [0, 0]
+    monkeypatch.undo()
+    assert rep.structure.torsion_entry(0, 2, 1) == -I1
 
 
 def test_painleve_examples():

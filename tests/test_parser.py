@@ -11,6 +11,7 @@ from cartaneq import (
     DegreeOverflow,
     Expression,
     ParseError,
+    UnknownName,
     parse_expression,
     render_latex,
     render_text,
@@ -76,6 +77,17 @@ def test_render_examples():
     assert render_text(E("1/y")) == "1/y"
     assert render_text(E("-p^2/y")) == "-p^2/y"
     assert render_text(E("(x+y)/(x-y)")) == "(x + y)/(x - y)"
+
+
+def test_an_empty_derivative_spelling_is_refused():
+    # an empty suffix names no derivative, and must not read as f
+    with pytest.raises(ParseError):
+        E("f_")
+    with pytest.raises(ParseError):
+        E("x + f_")
+    with pytest.raises(UnknownName):
+        Expression.var(CH, "f_")
+    assert E("f_x") == Expression.var(CH, "f_x")
 
 
 def test_parse_errors_carry_positions():
