@@ -13,11 +13,16 @@ zero along anything else.
 Three reductions cancel only what can be shared.  A partial derivative
 reduces against gcd(D, D') of its denominator D, which holds every
 factor the quotient rule's numerator can share with its denominator
-(see ``Expression.partial``).  The image of a polynomial under a
-``VariableMap`` brings its denominator groups over their lcm and
-reduces once.  The image of a one-term polynomial c*m is c times the
-reduced image of m, so it loses integer content alone: c and the
-denominator's content cancel, and no polynomial gcd is taken.
+(see ``Expression.partial``).  A table of partials (``Partials``) and
+the images under a ``VariableMap`` are fractions kept unreduced over a
+squarefree, pairwise coprime base of the denominators they start from
+(``_Base``), so that taking a partial, multiplying and adding are
+polynomial arithmetic alone; a value is reduced once, when it is read,
+by gcds against the small base polynomials and by integer content.  The
+image of a one-term polynomial c*m, m a power of one variable, is c
+times that power of the reduced image of the variable, so it loses
+integer content alone: c and the denominator's content cancel, and no
+polynomial gcd is taken.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from fractions import Fraction
 from . import poly
 from .chart import KIND_COORD, KIND_DERIV, KIND_PARAM, Chart
 from .errors import ArgumentEscape, ChartMismatch, DivisionByZero, UnknownName
-# bench/tracing.py wraps exact_div and gcd here; expr itself calls neither
+# bench/tracing.py wraps exact_div and gcd here; expr calls exact_div in
+# ``_Base.over`` alone, and gcd never
 from .poly import Polynomial, exact_div, gcd
 
 _ONE = poly.one()
@@ -221,17 +227,6 @@ class Expression:
     # ------------------------------------------------------------------
     # calculus
 
-    def _poly_partial(self, p: Polynomial, key) -> Polynomial:
-        """d(p)/d(key) with the chain rule through derivative symbols."""
-        out = p.derivative(key)
-        if key[0] == KIND_COORD:
-            for w in p.variables():
-                if w[0] == KIND_DERIV:
-                    higher = self.chart.extend_deriv(w, key)
-                    if higher is not None:
-                        out = out + p.derivative(w) * Polynomial.var(higher)
-        return out
-
     def partial(self, name_or_key) -> "Expression":
         """Partial derivative along a coordinate or parameter.
 
@@ -253,8 +248,8 @@ class Expression:
             key = name_or_key
         if key[0] not in (KIND_COORD, KIND_PARAM):
             raise UnknownName("can only differentiate along a basis direction")
-        dn = self._poly_partial(self.num, key)
-        dd = self._poly_partial(self.den, key)
+        dn = poly_partial(self.chart, self.num, key)
+        dd = poly_partial(self.chart, self.den, key)
         if dd.is_zero:
             if dn.is_zero:
                 return Expression.const(self.chart, 0)
@@ -275,7 +270,7 @@ class Expression:
 
         ``mapping`` must give an image for every variable present.
         """
-        return VariableMap(chart, mapping.__getitem__)(self)
+        return VariableMap(chart, {k: mapping[k] for k in self.variables()})(self)
 
     def substitute(self, fname: str, value: "Expression") -> "Expression":
         """Replace an opaque function symbol by a concrete expression.
@@ -354,6 +349,18 @@ class Expression:
         return Expression(chart, self.num, self.den)
 
 
+def poly_partial(chart: Chart, p: Polynomial, key) -> Polynomial:
+    """d(p)/d(key) with the chain rule through derivative symbols."""
+    out = p.derivative(key)
+    if key[0] == KIND_COORD and chart.functions:
+        for w in p.variables():
+            if w[0] == KIND_DERIV:
+                higher = chart.extend_deriv(w, key)
+                if higher is not None:
+                    out = out + p.derivative(w) * Polynomial.var(higher)
+    return out
+
+
 def require_chart(e, chart: Chart, name: str) -> Expression:
     """``e`` itself, once checked to be an Expression on ``chart``."""
     if not isinstance(e, Expression):
@@ -364,88 +371,275 @@ def require_chart(e, chart: Chart, name: str) -> Expression:
     return e
 
 
-class Partials(dict):
-    """The partials of one expression, keyed by sorted index tuples.
+class _Base:
+    """Squarefree, pairwise coprime polynomials B_i, and entries over them.
 
-    ``along[i]`` names the direction of index i, so ``[i, j]`` is the
-    partial along i, then j.  Mixed partials commute, so each is taken
-    once, when first read, from the entry one index shorter.
+    The B_i are primitive, of positive leading coefficient.  An entry
+    (N, c, e) stands for N / (c prod B_i^e_i), c a positive integer, and
+    need not be reduced: products and sums of entries are polynomial
+    arithmetic alone, and ``reduce`` cancels once.  With no B_i an entry
+    is a polynomial over an integer.
+    """
+
+    __slots__ = ("chart", "polys", "zeros", "_powers")
+
+    def __init__(self, chart: Chart, polys):
+        self.chart = chart
+        self.polys = polys
+        self.zeros = (0,) * len(polys)
+        self._powers = {}
+
+    def power(self, i, k) -> Polynomial:
+        """B_i^k, kept."""
+        got = self._powers.get((i, k))
+        if got is None:
+            got = self._powers[i, k] = self.polys[i] ** k
+        return got
+
+    def over(self, e: Expression):
+        """``e`` as an entry; its denominator must be c prod B_i^e_i."""
+        den = e.den
+        if den.is_const:
+            return e.num, den.const_value(), self.zeros
+        exps = []
+        for b in self.polys:
+            k = 0
+            q = exact_div(den, b)
+            while q is not None:
+                den, k = q, k + 1
+                q = exact_div(den, b)
+            exps.append(k)
+        return e.num, den.const_value(), tuple(exps)
+
+    @staticmethod
+    def product(a, b):
+        """The entry of the product of the entries a and b."""
+        return (a[0] * b[0], a[1] * b[1],
+                tuple([x + y for x, y in zip(a[2], b[2])]))
+
+    def sum(self, terms, d: int = 1):
+        """The entry of the sum of k*t over (k, t) in ``terms``, over d.
+
+        Terms over the same c and exponents add in one dict; each such
+        group is then brought over the lcm of the c and the greatest
+        exponent of each B_i.
+        """
+        groups = {}
+        for k, (num, c, exps) in terms:
+            groups.setdefault((c, exps), []).append((k, num))
+        if len(groups) == 1:
+            ((c, exps), pairs), = groups.items()
+            return poly.lin_comb(pairs), c * d, exps
+        top = tuple(map(max, *(exps for _, exps in groups)))
+        lcm = math.lcm(*(c for c, _ in groups))
+        pairs = []
+        for (c, exps), group in groups.items():
+            q = poly.lin_comb(group)
+            for i, (t, e) in enumerate(zip(top, exps)):
+                if t > e:
+                    q = q * self.power(i, t - e)
+            pairs.append((lcm // c, q))
+        return poly.lin_comb(pairs), lcm * d, top
+
+    def reduce(self, num: Polynomial, c: int, exps) -> Expression:
+        """N / (c prod B_i^e_i) in canonical form.
+
+        B_i is squarefree, so g = gcd(N, B_i) cancels one power of it at a
+        time: either g = B_i, or g is a proper factor, B_i/g shares
+        nothing with N and g goes on in place of B_i, or g = 1.  The B_i
+        are primitive, so what is left of the denominator has integer
+        content c, and gcd(content(N), c) ends it.
+        """
+        if num.is_zero:
+            return Expression(self.chart, num, _ONE)
+        den = _ONE
+        for i, e in enumerate(exps):
+            b, own = self.polys[i], True
+            while e:
+                g, q_num, q = poly.cofactors(num, b)
+                if g.is_const:
+                    break
+                num = q_num
+                if not q.is_const:
+                    den = den * q ** e
+                    b, own = g, False
+                e -= 1
+            if e:
+                den = den * (self.power(i, e) if own else b ** e)
+        if c != 1:
+            g = math.gcd(num.icontent(), c)
+            num, c = num.div_int(g), c // g
+        return Expression(self.chart, num, den.scale(c))
+
+
+class Partials(dict):
+    """The partials of one expression N/D, keyed by sorted index tuples.
+
+    ``along`` maps each index to the name of a direction, so ``[i, j]``
+    is the partial along i, then j.  D is split once into c prod B_i^m_i
+    over a squarefree, pairwise coprime base (``poly.squarefree``), and
+    each B_i is split further by gcd(B_i, dB_i/dv) for every direction
+    v, so that it is free of v or each of its factors holds v.
+    ``raw(index)`` is an entry over that base (see ``_Base``), taken from
+    the entry one index shorter by the quotient rule.  Along v, with S
+    the B_i that hold v and P their product,
+
+        d(N / (c prod B_i^e_i)) = (N' P - N sum_S e_i B_i' P / B_i)
+                                  / (c prod_S B_i^(e_i + 1) prod_rest B_i^e_i),
+
+    so the exponent of each B_i in S rises by one and no gcd is taken.
+    Mixed partials commute, so each is taken once.  Reading ``[index]``
+    reduces the entry once and keeps the result; ``[()]`` is the
+    expression itself, already reduced.
     """
 
     def __init__(self, e: Expression, along):
         super().__init__({(): e})
-        self.along = along
+        ch = e.chart
+        self.along = {i: ch.key_of(name) for i, name in along.items()}
+        c, parts = poly.squarefree(e.den)
+        for key in self.along.values():
+            split = []
+            for b, m in parts:
+                db = poly_partial(ch, b, key)
+                if not db.is_zero:
+                    g, q, _ = poly.cofactors(b, db)
+                    if not g.is_const:
+                        split.append((g, m))
+                        b = q
+                split.append((b, m))
+            parts = split
+        self.base = _Base(ch, [b for b, _ in parts])
+        self._raw = {(): (e.num, c, tuple([m for _, m in parts]))}
+        self._dbase = {}
+
+    def raw(self, index):
+        """The unreduced entry of ``index``, kept."""
+        got = self._raw.get(index)
+        if got is None:
+            got = self._raw[index] = self._step(index)
+        return got
+
+    def _step(self, index):
+        """The entry of ``index``, one partial from that of index[:-1]."""
+        num, c, exps = self.raw(index[:-1])
+        key = self.along[index[-1]]
+        base = self.base
+        out = poly_partial(base.chart, num, key)
+        # P and T = sum_S e_i B_i' P / B_i, grown one B_i in S at a time
+        P, T = _ONE, poly.zero()
+        grown = list(exps)
+        for i, e in enumerate(exps):
+            if e:
+                db = self._dbase.get((i, key))
+                if db is None:
+                    db = self._dbase[i, key] = poly_partial(
+                        base.chart, base.polys[i], key)
+                if not db.is_zero:
+                    b = base.polys[i]
+                    T = T * b + db.scale(e) * P
+                    P = P * b
+                    grown[i] += 1
+        if P is _ONE:
+            return out, c, exps
+        return out * P - num * T, c, tuple(grown)
 
     def __missing__(self, index):
-        got = self[index] = self[index[:-1]].partial(self.along[index[-1]])
+        got = self[index] = self.base.reduce(*self.raw(index))
         return got
 
 
 class VariableMap:
-    """The image of expressions under an assignment of every variable.
+    """The image of expressions under an assignment of variables.
 
-    ``image_of_key`` gives the image of one variable key, an Expression on
-    ``chart``.  The image of a monomial is that of its prefix times the
-    image of one power; both are kept for every monomial and power mapped,
-    so expressions sharing monomials or powers share the work.  The term
-    images of a polynomial are summed in one dict per denominator; a
-    one-term polynomial scales its monomial's image and cancels integer
-    content alone.
+    ``images`` gives the image of every variable mapped, an Expression on
+    ``chart``.  The squarefree parts of their denominators are refined
+    against each other into one squarefree, pairwise coprime base
+    (``poly.refine``), and each image is an entry over it (see
+    ``_Base``).  The image of a monomial is the product of the entries
+    of its powers, and both are kept for every monomial and power
+    mapped, so expressions sharing monomials or powers share the work;
+    no gcd is taken.  The image of N/D with D an integer is one sum of
+    the term images of N over their common exponent vector, divided by
+    D and reduced once.  A one-term N = c k^e maps to c times the e-th
+    power of the reduced image of k, which stays reduced, so it loses
+    integer content alone.
     """
 
-    def __init__(self, chart: Chart, image_of_key):
-        self.chart = chart
-        self._image_of_key = image_of_key
-        self._monomials = {(): Expression.const(chart, 1)}
-        self._powers = {}
+    def __init__(self, chart: Chart, images):
+        polys = []
+        for e in images.values():
+            if not e.den.is_const:
+                for b, _ in poly.squarefree(e.den)[1]:
+                    polys = poly.refine(polys, b)
+        self._images = images
+        self._start(_Base(chart, polys))
 
-    def _monomial(self, m) -> Expression:
-        got = self._monomials.get(m)
+    def _start(self, base: _Base):
+        self.chart = base.chart
+        self.base = base
+        self._monomials = {(): (_ONE, 1, base.zeros)}
+        self._powers = {}
+        self._reduced_powers = {}
+
+    def _entry(self, k):
+        """The entry of the image of the variable k."""
+        return self.base.over(self._images[k])
+
+    def _reduced(self, k) -> Expression:
+        """The image of the variable k, reduced."""
+        return self._images[k]
+
+    def _reduced_power(self, k, e):
+        """(n^e, q^e) for the reduced image n/q of k, kept."""
+        t = self._reduced(k)
+        if e == 1:
+            return t.num, t.den
+        got = self._reduced_powers.get((k, e))
         if got is None:
-            power = self._powers.get(m[-1])
-            if power is None:
-                k, e = m[-1]
-                power = self._image_of_key(k) ** e
-                self._powers[m[-1]] = power
-            got = self._monomial(m[:-1]) * power
-            self._monomials[m] = got
+            got = self._reduced_powers[k, e] = t.num ** e, t.den ** e
         return got
 
-    def _poly(self, p: Polynomial) -> Expression:
-        if len(p) == 1:
-            # c times a kept image n/d: n/d is reduced, integer content
-            # included, so gcd(c*n, d) = gcd(c, content(d)); a zero image
-            # 0/1 stays 0/1
-            (m, c), = p.terms
-            t = self._monomial(m)
-            g = math.gcd(c, t.den.icontent())
-            return Expression(self.chart, t.num.scale(c // g), t.den.div_int(g))
-        groups = {}
-        for m, c in p.terms:
-            t = self._monomial(m)
-            acc = groups.setdefault(t.den, {})
-            for mm, cc in t.num.terms:
-                acc[mm] = acc.get(mm, 0) + c * cc
-        if not groups:
-            return Expression.const(self.chart, 0)
-        (lcm, acc), *rest = groups.items()
-        if not rest:
-            return Expression.make(self.chart, Polynomial.from_dict(acc), lcm)
-        # the lcm of the small group denominators, with each group's
-        # multiplier lcm/den kept as it grows
-        parts = [(acc, poly.one())]
-        for den, acc in rest:
-            _, lq, dq = poly.cofactors(lcm, den)
-            parts = [(a, q * dq) for a, q in parts]
-            parts.append((acc, lq))
-            lcm = lcm * dq
-        total = {}
-        for acc, q in parts:
-            for m, c in (Polynomial.from_dict(acc) * q).terms:
-                total[m] = total.get(m, 0) + c
-        return Expression.make(self.chart, Polynomial.from_dict(total), lcm)
+    def _power(self, k, e):
+        """The entry of k^e, kept."""
+        got = self._powers.get((k, e))
+        if got is None:
+            if e == 1:
+                got = self._entry(k)
+            else:
+                num, c, exps = self._power(k, 1)
+                got = num ** e, c ** e, tuple([x * e for x in exps])
+            self._powers[k, e] = got
+        return got
+
+    def _monomial(self, m):
+        """The entry of the image of the monomial m, kept."""
+        got = self._monomials.get(m)
+        if got is None:
+            got = self._monomials[m] = self.base.product(
+                self._monomial(m[:-1]), self._power(*m[-1]))
+        return got
+
+    def _poly(self, p: Polynomial, d: int = 1) -> Expression:
+        """The image of p/d, d a positive integer."""
+        if len(p) > 1 or p.terms and len(p.terms[0][0]) > 1:
+            return self.base.reduce(*self.base.sum(
+                [(c, self._monomial(m)) for m, c in p.terms], d))
+        if p.is_const:
+            return Expression.const(self.chart, Fraction(p.const_value(), d))
+        # c (n/q)^e / d with n/q reduced, integer content included:
+        # gcd(c n^e, d q^e) = gcd(c content(n^e), d content(q^e)), and
+        # with d = 1 that is gcd(c, content(q^e)); a zero image 0/1
+        # stays 0/1
+        (((k, e),), c), = p.terms
+        n, q = self._reduced_power(k, e)
+        g = math.gcd(c if d == 1 else c * n.icontent(), d * q.icontent())
+        return Expression(self.chart, n.scale(c).div_int(g),
+                          q.scale(d).div_int(g))
 
     def __call__(self, e: Expression) -> Expression:
+        if e.den.is_const:
+            return self._poly(e.num, e.den.const_value())
         return self._poly(e.num) / self._poly(e.den)
 
 
@@ -455,7 +649,9 @@ class Substitution(VariableMap):
     The value may only involve the function's declared arguments (and
     opaque symbols depending on a subset of them); anything else would
     contradict the partials already taken, so it raises ArgumentEscape.
-    The partials of the value are one ``Partials`` table.
+    The partials of the value are one ``Partials`` table, whose base is
+    the map's: a derivative symbol of the function maps to its entry in
+    the table, every other variable to itself.
     """
 
     def __init__(self, chart: Chart, fname: str, value: Expression):
@@ -483,18 +679,21 @@ class Substitution(VariableMap):
                     raise ArgumentEscape(
                         f"{inner.name!r} depends on more than the arguments of {fname!r}"
                     )
+        self._fidx = fidx
+        self.table = Partials(value, dict(enumerate(fn.args)))
+        self._start(self.table.base)
 
-        derivs = Partials(value, [chart.key_of(a) for a in fn.args])
+    def _entry(self, k):
+        if k[0] == KIND_DERIV and k[1] == self._fidx:
+            return self.table.raw(k[3])
+        return Polynomial.var(k), 1, self.base.zeros
 
-        def image(k):
-            if k[0] == KIND_DERIV and k[1] == fidx:
-                return derivs[k[3]]
-            return Expression.from_key(chart, k)
-
-        super().__init__(chart, image)
+    def _reduced(self, k) -> Expression:
+        if k[0] == KIND_DERIV and k[1] == self._fidx:
+            return self.table[k[3]]
+        return Expression.from_key(self.chart, k)
 
     def __call__(self, e: Expression) -> Expression:
         if e.chart != self.chart:
             raise ChartMismatch("expression lives on a different chart")
         return super().__call__(e)
-

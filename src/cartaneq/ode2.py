@@ -21,7 +21,7 @@ from .errors import (
     NotInClass,
     VanishingJacobian,
 )
-from .expr import Expression, Substitution, require_chart
+from .expr import Expression, Partials, Substitution, require_chart
 from .forms import Coframe, DifferentialForm, VectorField
 from .pfaffian import (
     StructureEquations,
@@ -30,6 +30,7 @@ from .pfaffian import (
     coframe_structure_equations,
     distinct_up_to_sign,
 )
+from .poly import Polynomial
 
 
 def ode2_chart() -> Chart:
@@ -305,19 +306,25 @@ def check_flat_ode2(f: Expression) -> FlatnessReport:
     """Is y'' = f equivalent to y'' = 0 under the pseudogroup?
 
     The two residuals are f_ppp and the combination
-    f_xp + f f_pp - 2 f_y - (1/2) f_p^2 + p f_yp, which equals 2 I1.
+    f_xp + f f_pp - 2 f_y - (1/2) f_p^2 + p f_yp, which equals 2 I1.  Both
+    are read off one ``Partials`` table of f: r1 is its entry, and twice
+    r2 is one sum of products of its unreduced entries, reduced once.
     """
     f = _on_chart(f, ode2_chart())
-    half = Expression.const(f.chart, Fraction(1, 2))
-    p = Expression.var(f.chart, "p")
-    fp = f.partial("p")
-    fpp = fp.partial("p")
-    r1 = fpp.partial("p")
-    r2 = (
-        fp.partial("x") + f * fpp - 2 * f.partial("y")
-        - half * fp ** 2 + p * fp.partial("y")
-    )
-    return FlatnessReport("ode2", [r1, r2])
+    X, Y, P = (0,), (1,), (2,)
+    t = Partials(f, {0: "x", 1: "y", 2: "p"})
+    base = t.base
+    fp = t.raw(P)
+    p = Polynomial.var(f.chart.key_of("p")), 1, base.zeros
+    # 2 f_xp + 2 f f_pp - 4 f_y - f_p^2 + 2 p f_yp, over 2
+    r2 = base.sum([
+        (2, t.raw(X + P)),
+        (2, base.product(t.raw(()), t.raw(P + P))),
+        (-4, t.raw(Y)),
+        (-1, base.product(fp, fp)),
+        (2, base.product(p, t.raw(Y + P))),
+    ], 2)
+    return FlatnessReport("ode2", [t[P + P + P], base.reduce(*r2)])
 
 
 # ----------------------------------------------------------------------

@@ -94,14 +94,14 @@ class PfaffianSystem:
         self._structure = None
 
 
-def _structure_equations(coframe, omega, theta, pi) -> StructureEquations:
+def _structure_equations(coframe, omega, n, r) -> StructureEquations:
     """Tableau and torsion of each d(omega) expanded on ``coframe``.
 
-    The coframe lists the ideal generators first, then theta, then pi.
-    Pairs touching a generator vanish modulo the ideal and are dropped; a
-    lifted coframe has no generators ahead of theta, so nothing is.
+    The coframe lists the ideal generators first, then the n theta, then
+    the r pi.  Pairs touching a generator vanish modulo the ideal and are
+    dropped; a lifted coframe has no generators ahead of theta, so nothing
+    is.
     """
-    n, r = len(theta), len(pi)
     offset = coframe.chart.dim - n - r
     A = {}
     T = {}
@@ -124,7 +124,7 @@ def structure_equations(system: PfaffianSystem) -> StructureEquations:
     """Tableau and torsion of d(omega) modulo the system ideal."""
     if system._structure is None:
         system._structure = _structure_equations(
-            system.coframe, system.omega, system.theta, system.pi
+            system.coframe, system.omega, len(system.theta), len(system.pi)
         )
     return system._structure
 
@@ -140,7 +140,7 @@ def coframe_structure_equations(chart, theta_forms, pi_forms=()):
     theta_forms = list(theta_forms)
     pi_forms = list(pi_forms)
     cof = Coframe(chart, theta_forms + pi_forms)
-    return _structure_equations(cof, theta_forms, theta_forms, pi_forms)
+    return _structure_equations(cof, theta_forms, len(theta_forms), len(pi_forms))
 
 
 def is_linear(system: PfaffianSystem) -> bool:

@@ -603,6 +603,31 @@ def one() -> Polynomial:
     return _ONE
 
 
+def lin_comb(pairs) -> Polynomial:
+    """The sum of k*p over (k, p) in ``pairs``, the k nonzero integers.
+
+    The sum runs in one dict that starts from the longest p, so, as in
+    ``Polynomial.__add__``, a sum that brings no monomial new to it keeps
+    its order and sorts nothing.
+    """
+    pairs = list(pairs)
+    top = max(range(len(pairs)), key=lambda i: len(pairs[i][1].terms))
+    k, p = pairs.pop(top)
+    d = dict(p.terms) if k == 1 else {m: k * c for m, c in p.terms}
+    new = False
+    for k, p in pairs:
+        for m, c in p.terms:
+            got = d.get(m)
+            if got is None:
+                d[m] = k * c
+                new = True
+            else:
+                d[m] = got + k * c
+    if new:
+        return Polynomial.from_dict(d)
+    return Polynomial(tuple([t for t in d.items() if t[1]]))
+
+
 # ----------------------------------------------------------------------
 # exact division
 
@@ -954,3 +979,62 @@ def cofactors(a: Polynomial, b: Polynomial):
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Greatest common divisor over Z, leading coefficient positive."""
     return cofactors(a, b)[0]
+
+
+# ----------------------------------------------------------------------
+# squarefree bases
+
+
+def squarefree(p: Polynomial):
+    """(c, [(b, m), ...]) with p = c * prod b^m, c the signed integer content.
+
+    The b are squarefree, pairwise coprime, primitive and of positive
+    leading coefficient.  A variable of the monomial content is one b.
+    The rest is split by Yun's algorithm in its first variable, after the
+    content in that variable is taken out; that content, free of the
+    variable, is split the same way.
+    """
+    if p.is_zero:
+        raise DivisionByZero("squarefree decomposition of zero")
+    c = p.icontent()
+    if p.lead_coeff < 0:
+        c = -c
+    mono = p.mcontent()
+    parts = [(Polynomial.var(k), e) for k, e in mono]
+    rest = p.div_int(c).div_mono(mono)
+    while not rest.is_const:
+        key = min(rest.variables())
+        rest, prim = _content(rest, key)
+        # Yun: with prim = prod a_i^i, b_i = prod_{j >= i} a_j and
+        # d_i = (sum_{j >= i} (j - i + 1) a_j' / a_j) b_i,
+        # a_i = gcd(b_i, d_i - b_i'), b_i+1 = b_i / a_i, d_i+1 = (d_i - b_i') / a_i
+        _, b, d = cofactors(prim, prim.derivative(key))
+        i = 1
+        while not b.is_const:
+            a, b, d = cofactors(b, d - b.derivative(key))
+            if not a.is_const:
+                parts.append((a, i))
+            i += 1
+    return c, parts
+
+
+def refine(base, a: Polynomial):
+    """The squarefree, pairwise coprime ``base`` with squarefree ``a`` added.
+
+    A base element b that shares g with a becomes g and b/g, and a goes on
+    as a/g; all are squarefree, so g is coprime to both quotients (Bach,
+    Driscoll and Shallit, "Factor refinement", J. Algorithms 15, 1993).
+    """
+    out = []
+    for b in base:
+        if not a.is_const:
+            g, a, q = cofactors(a, b)
+            if not g.is_const:
+                out.append(g)
+                b = q
+                if b.is_const:
+                    continue
+        out.append(b)
+    if not a.is_const:
+        out.append(a)
+    return out

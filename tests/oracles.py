@@ -4,8 +4,11 @@ The structure-level oracles work over plain Fractions with their own
 Gaussian elimination, independent of the library's expression
 arithmetic.  The point-map image of the flat ODE system uses that
 arithmetic, but none of the flatness formulas it is checked against.
-The two expression oracles reduce against whole denominators, where the
-library reduces against the factors that can be shared.  The Painleve
+The quotient-rule oracle reduces against whole denominators, where the
+library reduces against the factors that can be shared; the substitution
+oracle takes its partials by ``Expression.partial`` chains and reduces
+at every product and sum, where the library keeps them over a coprime
+base and reduces each image once.  The Painleve
 oracle spells out the closure formula on the concrete report, and a
 general map recovery must agree with it.  The stacked-rank oracle
 row-reduces each stack of flag blocks from scratch, where the library
@@ -26,39 +29,57 @@ from cartaneq import (
     odesys_chart,
     run_equivalence_ode2,
 )
+from cartaneq.chart import KIND_DERIV
+from cartaneq.expr import poly_partial
 from cartaneq.linsolve import rref
 from cartaneq.parser import render_text
 from cartaneq.pfaffian import StructureEquations, _jet_names
-from cartaneq.poly import Polynomial
 
 
 def quotient_rule_partial(e, name):
     """d(N/D) as (N' D - N D') / D^2, reduced by one gcd against D^2."""
     key = e.chart.key_of(name)
-    dn = e._poly_partial(e.num, key)
-    dd = e._poly_partial(e.den, key)
+    dn = poly_partial(e.chart, e.num, key)
+    dd = poly_partial(e.chart, e.den, key)
     if dd.is_zero:
         return Expression.make(e.chart, dn, e.den)
     return Expression.make(e.chart, dn * e.den - e.num * dd, e.den * e.den)
 
 
-def groupwise_image(vmap, e):
-    """The image of ``e`` under a VariableMap, one group at a time.
+def groupwise_image(fname, value, e):
+    """The image of ``e`` with the opaque ``fname`` replaced by ``value``.
 
-    Term images are summed per denominator, each group is reduced on its
-    own, and the groups are added with Expression arithmetic.
+    Public arithmetic alone: the image of each derivative symbol of
+    ``fname`` is a chain of ``Expression.partial`` calls on ``value``,
+    and the term images are multiplied and added with ``Expression``
+    ``*`` and ``+``, each operation reducing on its own.
     """
+    ch = e.chart
+    fkey = ch.key_of(fname)
+    args = ch.functions[fkey[1]].args
+
+    def image_of(k):
+        if k[0] != KIND_DERIV or k[1] != fkey[1]:
+            return Expression.from_key(ch, k)
+        out = value
+        for i in k[3]:
+            out = out.partial(args[i])
+        return out
+
+    return termwise_image({k: image_of(k) for k in e.variables()}, e)
+
+
+def termwise_image(images, e):
+    """The image of ``e`` under ``images``, {key: Expression}, with each
+    term's image multiplied out and added by ``Expression`` ``*`` and
+    ``+``."""
     def image(p):
-        groups = {}
+        total = Expression.const(e.chart, 0)
         for m, c in p.terms:
-            t = vmap._monomial(m)
-            acc = groups.setdefault(t.den, {})
-            for mm, cc in t.num.terms:
-                acc[mm] = acc.get(mm, 0) + c * cc
-        total = Expression.const(vmap.chart, 0)
-        for den, acc in groups.items():
-            total = total + Expression.make(
-                vmap.chart, Polynomial.from_dict(acc), den)
+            term = Expression.const(e.chart, c)
+            for k, n in m:
+                term = term * images[k] ** n
+            total = total + term
         return total
 
     return image(e.num) / image(e.den)

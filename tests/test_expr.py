@@ -16,10 +16,10 @@ from cartaneq import (
     parse_expression,
 )
 from cartaneq import poly
-from cartaneq.expr import Substitution
+from cartaneq.expr import Partials, Substitution, VariableMap
 
 from conftest import point_for, random_expression, seeded
-from oracles import groupwise_image, quotient_rule_partial
+from oracles import groupwise_image, quotient_rule_partial, termwise_image
 
 CH = Chart(coords=("x", "y", "p"), functions=[("f", ("x", "y", "p"))])
 NAMES = ("x", "y", "p", "f", "f_p", "f_xy")
@@ -70,14 +70,29 @@ def polys_over(names, leaves):
     )
 
 
-def quotients_over(names):
-    """N / (c * F1^k1 * ...): denominators are powers of random factors."""
+def total_degree(m):
+    return sum(e for _, e in m)
+
+
+def quotients_over(names, max_degree=6):
+    """N / (c * F1^k1 * ...): denominators are powers of random factors.
+
+    N keeps its terms of total degree at most ``max_degree``, and a power
+    of a factor that would lift the denominator past it is left out, so
+    the size of a draw, and with it the time of a substitution into it,
+    has a bound.
+    """
     factors = polys_over(names, 4).filter(lambda e: not e.is_const)
 
     def build(num, powers, c):
-        den = Expression.const(CH, c)
+        num = Expression.make(CH, poly.Polynomial.from_dict({
+            m: k for m, k in num.num.terms if total_degree(m) <= max_degree
+        }), num.den)
+        den, used = Expression.const(CH, c), 0
         for f, k in powers:
-            den = den * f ** k
+            d = k * max(total_degree(m) for m, _ in f.num.terms)
+            if used + d <= max_degree:
+                den, used = den * f ** k, used + d
         return num / den
 
     return st.builds(
@@ -216,6 +231,141 @@ def test_partial_reduces_against_the_shared_factor(opaque_chart):
         assert got == quotient_rule_partial(e, v)
 
 
+ALONG = {0: "x", 1: "y", 2: "p"}
+# every sorted index tuple of order 1 to 3 over the three directions
+INDICES = [(i,) for i in range(3)] + [
+    (i, j) for i in range(3) for j in range(i, 3)] + [
+    (i, j, k) for i in range(3) for j in range(i, 3) for k in range(j, 3)]
+
+
+def assert_table_matches_the_partial_chains(e):
+    table = Partials(e, ALONG)
+    chains = {(): e}
+    for index in INDICES:
+        chains[index] = chains[index[:-1]].partial(ALONG[index[-1]])
+        assert table[index] == chains[index], index
+    return table
+
+
+def assert_base(den, c, parts):
+    """Each b squarefree, the b pairwise coprime, den = c prod b^m."""
+    product = poly.Polynomial.const(c)
+    for i, (b, m) in enumerate(parts):
+        assert not b.is_const and b.icontent() == 1 and b.lead_coeff > 0
+        for v in b.variables():
+            # a repeated factor holding v would divide b and db/dv
+            assert v not in poly.gcd(b, b.derivative(v)).variables()
+        for a, _ in parts[:i]:
+            assert poly.gcd(a, b) == poly.one()
+        product = product * b ** m
+    assert product == den
+
+
+@given(quotients_over(NAMES))
+@settings(max_examples=40, deadline=None)
+def test_partials_table_matches_the_partial_chains(e):
+    table = assert_table_matches_the_partial_chains(e)
+    assert_base(e.den, *poly.squarefree(e.den))
+    _, c, exps = table.raw(())
+    assert_base(e.den, c, list(zip(table.base.polys, exps)))
+
+
+def test_partials_table_on_chosen_denominators(opaque_chart):
+    ch = opaque_chart
+    cases = [
+        # one factor does not hold x
+        ("(x*p + y)/((x + y)^3*(2*y + 1))", [("2*y + 1", 1), ("x + y", 3)]),
+        # integer content
+        ("(3*x + 1)/(6*(y^2 + 2)^2)", [("y^2 + 2", 2)]),
+        # monomial content
+        ("(y + p)/(x^2*(x + y))", [("x", 2), ("x + y", 1)]),
+        # an inner opaque function
+        ("(f + x)/(g + x)^2", [("g + x", 2)]),
+        ("p/(x*g^2 + y)", [("x*g^2 + y", 1)]),
+    ]
+    for text, parts in cases:
+        e = parse_expression(text, ch)
+        assert_table_matches_the_partial_chains(e)
+        c, got = poly.squarefree(e.den)
+        want = [(parse_expression(b, ch).num, m) for b, m in parts]
+        assert sorted(got, key=repr) == sorted(want, key=repr)
+        assert_base(e.den, c, got)
+    # the squarefree part (x + y)*(y + 1) is split along x, as y + 1 does
+    # not hold x; along x only the exponent of x + y rises
+    e = parse_expression("1/((x + y)*(y + 1))", ch)
+    table = Partials(e, ALONG)
+    want = [parse_expression(b, ch).num for b in ("x + y", "y + 1")]
+    assert sorted(table.base.polys, key=repr) == sorted(want, key=repr)
+    rise = [a - b for a, b in zip(table.raw((0,))[2], table.raw(())[2])]
+    assert rise == [int(ch.key_of("x") in b.variables())
+                    for b in table.base.polys]
+    assert sorted(rise) == [0, 1]
+
+
+def test_partials_take_no_gcd_beyond_their_base(monkeypatch):
+    f = E("(x*y*f_p + p^2)/(3*x^2*(x + y)^2*(2*p + y + 1))")
+    calls = []
+    raw = poly._gcd_core
+    monkeypatch.setattr(poly, "_gcd_core",
+                        lambda a, b: calls.append((a, b)) or raw(a, b))
+    table = Partials(f, ALONG)
+    built = len(calls)
+    for index in INDICES:
+        table.raw(index)
+    # the quotient rule over the base is polynomial arithmetic alone
+    assert len(calls) == built
+    for index in INDICES:
+        table[index]
+    # reading an entry reduces it against the base's own polynomials
+    assert len(calls) > built and all(any(poly.exact_div(b, a_or_b) is not None
+                   for b in table.base.polys for a_or_b in call)
+               for call in calls[built:])
+    monkeypatch.undo()
+    for index in INDICES:
+        assert table[index] == quotient_rule_chain(f, index)
+
+
+def quotient_rule_chain(e, index):
+    for i in index:
+        e = quotient_rule_partial(e, ALONG[i])
+    return e
+
+
+def test_variable_map_base_refines_the_image_denominators():
+    x, y = E("x"), E("y")
+    images = {CH.key_of("x"): (x + 1) / ((x - y) ** 2 * (x + y)),
+              CH.key_of("y"): y / ((x + y) ** 3 * (2 * x + 3)),
+              CH.key_of("p"): E("p") / ((x - y) * (2 * x + 3)) ** 2}
+    vmap = VariableMap(CH, images)
+    want = [E(text).num for text in ("x - y", "x + y", "2*x + 3")]
+    assert sorted(vmap.base.polys, key=repr) == sorted(want, key=repr)
+    e = E("(x^2*y + p*x - 3*y*p^2 + 1)/(x*p - 2)")
+    assert vmap(e) == termwise_image(images, e)
+
+
+def test_substitution_of_a_large_drawn_quotient():
+    # a draw of test_substitution_matches_the_groupwise_sum whose image
+    # has 7488/13784 terms; CI runs this test under a time limit of its own
+    e = E("x*f_xy / (6*((f_p + f + 1)*f)^3*(f_xy - 1)*(f^2*f_p)^3)")
+    value = E("-8*(3 + x) / (4*(y - 2)^3*((p - 2)*(y + p))^3)")
+    subbed = e.substitute("f", value)
+    assert (len(subbed.num), len(subbed.den)) == (7488, 13784)
+    partials = {"f": value, "f_p": value.partial("p"),
+                "f_xy": value.partial("x").partial("y")}
+    rng = seeded(205)
+    checked = 0
+    while checked < 3:
+        pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+              for v in ("x", "y", "p")}
+        try:
+            full = dict(pt, **{n: d.evaluate(pt) for n, d in partials.items()})
+            want = e.evaluate(full)
+        except DivisionByZero:
+            continue
+        assert subbed.evaluate(pt) == want
+        checked += 1
+
+
 def test_total_derivation():
     ch = Chart(
         coords=("x", "y", "p"),
@@ -280,7 +430,7 @@ def test_substitution_consistent_with_chain_rule_numerically():
         assert subbed.evaluate(pt) == expr.evaluate(full)
 
 
-@given(quotients_over(NAMES), quotients_over(("x", "y", "p")))
+@given(quotients_over(NAMES, 4), quotients_over(("x", "y", "p"), 4))
 @example(E("f^2 + x*f_p + f_xy/(f + 1)"), E("(x*p + 1)/(x + y + 1)^3"))
 # one-term images: a coefficient sharing integer content with the image's
 # denominator, a negative one, and a zero image
@@ -294,9 +444,9 @@ def test_substitution_matches_the_groupwise_sum(e, value):
     except DivisionByZero:
         # the image of the denominator vanishes
         with pytest.raises(DivisionByZero):
-            groupwise_image(Substitution(CH, "f", value), e)
+            groupwise_image("f", value, e)
         return
-    assert got == groupwise_image(Substitution(CH, "f", value), e)
+    assert got == groupwise_image("f", value, e)
 
 
 def test_one_term_images_take_no_polynomial_gcd(monkeypatch):

@@ -27,9 +27,10 @@ from cartaneq import (
     run_equivalence_ode2,
     syzygies_ode2,
 )
-from cartaneq.expr import Substitution
+from cartaneq.expr import Partials, Substitution
 from cartaneq.parser import parse_expression, render_text
 from cartaneq.pfaffian import absorb_torsion, distinct_up_to_sign
+from cartaneq.poly import Polynomial
 
 from conftest import seeded
 from oracles import painleve_map_via_report
@@ -243,15 +244,26 @@ def test_flat_residual_is_twice_the_first_invariant():
 
 
 def _recorded_partials(monkeypatch):
-    """Every (expression, key) differentiated from now on, in call order."""
-    calls = []
-    raw = Expression.partial
+    """Every partial taken from now on, in call order: (expression, key)
+    for an ``Expression.partial``, (table, index) for a ``Partials`` step.
+
+    Tables are dicts, so they stand in by id; ``alive`` keeps each one,
+    so no id is reused.
+    """
+    calls, alive = [], []
+    raw_partial, raw_step = Expression.partial, Partials._step
 
     def partial(self, key):
         calls.append((self, key))
-        return raw(self, key)
+        return raw_partial(self, key)
+
+    def step(self, index):
+        alive.append(self)
+        calls.append((id(self), index))
+        return raw_step(self, index)
 
     monkeypatch.setattr(Expression, "partial", partial)
+    monkeypatch.setattr(Partials, "_step", step)
     return calls
 
 
@@ -264,7 +276,8 @@ def test_each_partial_of_the_rhs_is_taken_once(monkeypatch):
     assert len(calls) >= 3 and len(set(calls)) == len(calls)
     calls.clear()
     check_flat_ode2(f)
-    assert len(set(calls)) == len(calls)
+    # f_p, f_pp, f_ppp, f_x, f_xp, f_y and f_yp, each one step of one table
+    assert len(calls) == 7 and len(set(calls)) == len(calls)
 
 
 def test_each_partial_of_a_system_rhs_is_taken_once(monkeypatch):
@@ -277,30 +290,35 @@ def test_each_partial_of_a_system_rhs_is_taken_once(monkeypatch):
     )]
     calls = _recorded_partials(monkeypatch)
     check_flat_ode_system(F1, F2)
-    # 9 velocity and 2 position partials of each F_i, and the t, x1 and x2
-    # partials of the four first velocity partials
+    # 9 velocity partials of each F_i, table steps, and 2 position
+    # partials of each, and the t, x1 and x2 partials of the four first
+    # velocity partials
     assert len(calls) == 34 and len(set(calls)) == len(calls)
+    assert sum(isinstance(t, int) for t, _ in calls) == 18
     calls.clear()
     check_flat_pde_system(*f)
     assert len(calls) == 15 and len(set(calls)) == len(calls)
+    assert all(isinstance(t, int) for t, _ in calls)
 
 
 def test_each_power_of_an_image_is_computed_once(monkeypatch):
     run_equivalence_ode2()
     f = E("(x + y + p + 3)^6")
     calls = []
-    raw = Expression.__pow__
+    raw = Polynomial.__pow__
 
     def power(self, n):
         calls.append((self, n))
         return raw(self, n)
 
-    # one Substitution maps the torsion table, then theta and the frame
-    monkeypatch.setattr(Expression, "__pow__", power)
+    # one Substitution maps the torsion table, then theta and the frame;
+    # the image of a power is a power of a table entry's numerator
+    monkeypatch.setattr(Polynomial, "__pow__", power)
     rep = run_equivalence_ode2(f)
     rep.theta, rep.frame
-    # by identity: f_x, f_y and f_p are equal here but are different images;
-    # ``calls`` keeps every base alive, so no id is reused
+    # by identity: the numerators of f_x, f_y and f_p are equal here but
+    # are different entries; ``calls`` keeps every base alive, so no id
+    # is reused
     assert calls and len({(id(b), n) for b, n in calls}) == len(calls)
 
 
@@ -408,6 +426,11 @@ def test_painleve_map_matches_the_report_route():
     for f in fs:
         got = _painleve_outcome(painleve_map, f)
         assert got == _painleve_outcome(painleve_map_via_report, f), f
+        if not isinstance(got[0], type):
+            # the recovered map takes Painleve I back to f exactly, which
+            # no shared formula of the two routes can fake
+            eta, C = got
+            assert pullback_ode2(eta, C, target) == f, f
         kinds.add(got[0] if isinstance(got[0], type) else tuple)
     assert kinds == {tuple, NotInClass, NotEquivalent}
 

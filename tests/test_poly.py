@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cartaneq import poly
+from cartaneq import DivisionByZero, poly
 from cartaneq.poly import Polynomial, exact_div, gcd, one, zero
 
 X = (0, 0)
@@ -443,6 +443,12 @@ def test_every_result_is_in_grlex_order(a, b, key, n):
     for _ in range(n):
         power = reference_mul(power, a)
     results["p ** n"] = (a ** n, dict(power.terms))
+    combination = {}
+    for k, q in ((3, a), (-2, b), (1, a * b)):
+        for m, c in q.terms:
+            combination[m] = combination.get(m, 0) + k * c
+    results["lin_comb"] = (poly.lin_comb([(3, a), (-2, b), (1, a * b)]),
+                           {m: c for m, c in combination.items() if c})
     shuffled = dict(reversed(a.terms + b.terms))
     shuffled[((Z, 9),)] = 0
     results["from_dict"] = (P(shuffled),
@@ -483,6 +489,36 @@ def test_derivatives_and_sums_within_a_support_do_not_sort(monkeypatch):
                 inside - SUBSET, WIDE - WIDE):
         assert_canonical(got)
     assert calls == []
+    for got in (poly.lin_comb([(2, inside), (1, SUBSET), (-2, inside)]),
+                poly.lin_comb([(-1, WIDE), (1, WIDE)])):
+        assert_canonical(got)
+    assert calls == []
     # a monomial new to the longer operand sorts the sum once
     assert_canonical(SUBSET + z)
-    assert calls == [4]
+    assert_canonical(poly.lin_comb([(1, z), (3, SUBSET), (1, inside)]))
+    assert calls == [4, 4]
+
+
+def test_squarefree_splits_content_and_multiplicities():
+    x, y, z = (P({((v, 1),): 1}) for v in (X, Y, Z))
+    a, b = x + y + one(), x * y - z
+    c, parts = poly.squarefree((a ** 3 * b * x ** 2 * z).scale(-6))
+    assert c == -6
+    assert sorted(parts, key=repr) == sorted(
+        [(x, 2), (z, 1), (b, 1), (a, 3)], key=repr)
+    # coprime factors of one multiplicity stay together
+    c, parts = poly.squarefree((a * b) ** 2 * y.scale(4))
+    assert c == 4 and sorted(parts, key=repr) == sorted(
+        [(y, 1), (a * b, 2)], key=repr)
+    assert poly.squarefree(Polynomial.const(-3)) == (-3, [])
+    with pytest.raises(DivisionByZero):
+        poly.squarefree(zero())
+
+
+def test_refine_keeps_a_coprime_base():
+    x, y, z = (P({((v, 1),): 1}) for v in (X, Y, Z))
+    a, b, c = x + y, x - z + one(), y * z + one()
+    got = poly.refine(poly.refine([], a * b), b * c)
+    assert sorted(got, key=repr) == sorted([a, b, c], key=repr)
+    assert poly.refine([a, b], a) == [a, b]
+    assert sorted(poly.refine([a], c), key=repr) == sorted([a, c], key=repr)
