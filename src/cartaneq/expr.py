@@ -16,13 +16,15 @@ factor the quotient rule's numerator can share with its denominator
 (see ``Expression.partial``).  A table of partials (``Partials``) and
 the images under a ``VariableMap`` are fractions kept unreduced over a
 squarefree, pairwise coprime base of the denominators they start from
-(``_Base``), so that taking a partial, multiplying and adding are
-polynomial arithmetic alone; a value is reduced once, when it is read,
-by gcds against the small base polynomials and by integer content.  The
-image of a one-term polynomial c*m, m a power of one variable, is c
-times that power of the reduced image of the variable, so it loses
-integer content alone: c and the denominator's content cancel, and no
-polynomial gcd is taken.
+(``_Base``): a table takes the parts of ``poly.squarefree`` of its
+denominator as they are, and a map refines those of its images against
+each other (``poly.refine``).  Taking a partial, multiplying and adding
+are then polynomial arithmetic alone; a value is reduced once, when it
+is read, by gcds against the small base polynomials and by integer
+content.  The image of a one-term polynomial c*m, m a power of one
+variable, is c times that power of the reduced image of the variable, so
+it loses integer content alone: c and the denominator's content cancel,
+and no polynomial gcd is taken.
 """
 
 from __future__ import annotations
@@ -242,12 +244,7 @@ class Expression:
         of lower degree in v.  So p never divides p', and a factor p^e
         of D leaves only p^(e-1) in g.
         """
-        if isinstance(name_or_key, str):
-            key = self.chart.key_of(name_or_key)
-        else:
-            key = name_or_key
-        if key[0] not in (KIND_COORD, KIND_PARAM):
-            raise UnknownName("can only differentiate along a basis direction")
+        key = basis_key(self.chart, name_or_key)
         dn = poly_partial(self.chart, self.num, key)
         dd = poly_partial(self.chart, self.den, key)
         if dd.is_zero:
@@ -347,6 +344,14 @@ class Expression:
             if kind == KIND_DERIV and k[1] >= len(chart.functions):
                 raise ChartMismatch(f"{self.chart.var_name(k)!r} missing from target")
         return Expression(chart, self.num, self.den)
+
+
+def basis_key(chart: Chart, name_or_key):
+    """The key of a coordinate or parameter; anything else is refused."""
+    key = chart.key_of(name_or_key) if isinstance(name_or_key, str) else name_or_key
+    if key[0] not in (KIND_COORD, KIND_PARAM):
+        raise UnknownName("can only differentiate along a basis direction")
+    return key
 
 
 def poly_partial(chart: Chart, p: Polynomial, key) -> Polynomial:
@@ -476,39 +481,29 @@ class Partials(dict):
     """The partials of one expression N/D, keyed by sorted index tuples.
 
     ``along`` maps each index to the name of a direction, so ``[i, j]``
-    is the partial along i, then j.  D is split once into c prod B_i^m_i
-    over a squarefree, pairwise coprime base (``poly.squarefree``), and
-    each B_i is split further by gcd(B_i, dB_i/dv) for every direction
-    v, so that it is free of v or each of its factors holds v.
-    ``raw(index)`` is an entry over that base (see ``_Base``), taken from
-    the entry one index shorter by the quotient rule.  Along v, with S
-    the B_i that hold v and P their product,
+    is the partial along i, then j; each direction is a coordinate or a
+    parameter.  D is split once into c prod B_i^m_i over a squarefree,
+    pairwise coprime base, exactly as ``poly.squarefree`` returns it, so
+    the base does not depend on ``along``.  ``raw(index)`` is an entry
+    over that base (see ``_Base``), taken from the entry one index
+    shorter by the quotient rule.  Along v, with S the B_i that hold v
+    and P their product,
 
         d(N / (c prod B_i^e_i)) = (N' P - N sum_S e_i B_i' P / B_i)
                                   / (c prod_S B_i^(e_i + 1) prod_rest B_i^e_i),
 
     so the exponent of each B_i in S rises by one and no gcd is taken.
-    Mixed partials commute, so each is taken once.  Reading ``[index]``
-    reduces the entry once and keeps the result; ``[()]`` is the
-    expression itself, already reduced.
+    A factor of such a B_i free of v may then divide the numerator, and
+    reading cancels it.  Mixed partials commute, so each is taken once.
+    Reading ``[index]`` reduces the entry once (``_Base.reduce``) and
+    keeps the result; ``[()]`` is the expression itself, already reduced.
     """
 
     def __init__(self, e: Expression, along):
         super().__init__({(): e})
         ch = e.chart
-        self.along = {i: ch.key_of(name) for i, name in along.items()}
+        self.along = {i: basis_key(ch, name) for i, name in along.items()}
         c, parts = poly.squarefree(e.den)
-        for key in self.along.values():
-            split = []
-            for b, m in parts:
-                db = poly_partial(ch, b, key)
-                if not db.is_zero:
-                    g, q, _ = poly.cofactors(b, db)
-                    if not g.is_const:
-                        split.append((g, m))
-                        b = q
-                split.append((b, m))
-            parts = split
         self.base = _Base(ch, [b for b, _ in parts])
         self._raw = {(): (e.num, c, tuple([m for _, m in parts]))}
         self._dbase = {}
@@ -580,7 +575,6 @@ class VariableMap:
         self.base = base
         self._monomials = {(): (_ONE, 1, base.zeros)}
         self._powers = {}
-        self._reduced_powers = {}
 
     def _entry(self, k):
         """The entry of the image of the variable k."""
@@ -589,16 +583,6 @@ class VariableMap:
     def _reduced(self, k) -> Expression:
         """The image of the variable k, reduced."""
         return self._images[k]
-
-    def _reduced_power(self, k, e):
-        """(n^e, q^e) for the reduced image n/q of k, kept."""
-        t = self._reduced(k)
-        if e == 1:
-            return t.num, t.den
-        got = self._reduced_powers.get((k, e))
-        if got is None:
-            got = self._reduced_powers[k, e] = t.num ** e, t.den ** e
-        return got
 
     def _power(self, k, e):
         """The entry of k^e, kept."""
@@ -632,7 +616,10 @@ class VariableMap:
         # with d = 1 that is gcd(c, content(q^e)); a zero image 0/1
         # stays 0/1
         (((k, e),), c), = p.terms
-        n, q = self._reduced_power(k, e)
+        t = self._reduced(k)
+        n, q = t.num, t.den
+        if e != 1:
+            n, q = n ** e, q ** e
         g = math.gcd(c if d == 1 else c * n.icontent(), d * q.icontent())
         return Expression(self.chart, n.scale(c).div_int(g),
                           q.scale(d).div_int(g))

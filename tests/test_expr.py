@@ -290,8 +290,8 @@ def test_partials_table_on_chosen_denominators(opaque_chart):
         want = [(parse_expression(b, ch).num, m) for b, m in parts]
         assert sorted(got, key=repr) == sorted(want, key=repr)
         assert_base(e.den, c, got)
-    # the squarefree part (x + y)*(y + 1) is split along x, as y + 1 does
-    # not hold x; along x only the exponent of x + y rises
+    # ``squarefree`` takes the content y + 1 of (x + y)*(y + 1) in x
+    # apart; along x only the exponent of x + y rises
     e = parse_expression("1/((x + y)*(y + 1))", ch)
     table = Partials(e, ALONG)
     want = [parse_expression(b, ch).num for b in ("x + y", "y + 1")]
@@ -300,6 +300,29 @@ def test_partials_table_on_chosen_denominators(opaque_chart):
     assert rise == [int(ch.key_of("x") in b.variables())
                     for b in table.base.polys]
     assert sorted(rise) == [0, 1]
+
+
+def test_partials_base_does_not_depend_on_the_directions():
+    e = E("1/((x + y)*(x + p))")
+    _, parts = poly.squarefree(e.den)
+    want = [b for b, _ in parts]
+    assert len(want) == 1
+    for along in ({}, {0: "x"}, {0: "p"}, {0: "y", 1: "p"}, ALONG):
+        table = Partials(e, along)
+        assert table.base.polys == want, along
+        for index in [(i,) for i in along] + [(i, i) for i in along]:
+            assert table[index] == quotient_rule_chain(e, index, along)
+
+
+def test_partials_refuse_a_direction_off_the_basis():
+    e = E("f^2*x + f_p")
+    with pytest.raises(UnknownName):
+        e.partial("f")
+    for along in ({0: "f"}, {0: "x", 1: "f_p"}):
+        with pytest.raises(UnknownName):
+            Partials(e, along)
+    with pytest.raises(UnknownName):
+        Partials(e, {0: "zz"})
 
 
 def test_partials_take_no_gcd_beyond_their_base(monkeypatch):
@@ -325,9 +348,9 @@ def test_partials_take_no_gcd_beyond_their_base(monkeypatch):
         assert table[index] == quotient_rule_chain(f, index)
 
 
-def quotient_rule_chain(e, index):
+def quotient_rule_chain(e, index, along=ALONG):
     for i in index:
-        e = quotient_rule_partial(e, ALONG[i])
+        e = quotient_rule_partial(e, along[i])
     return e
 
 
