@@ -111,24 +111,18 @@ def _cmd_painleve(fmt, f):
     render, _ = _renderer(fmt)
     try:
         eta, C = painleve_map(f)
-    except NotInClass as e:
+    except (NotInClass, NotEquivalent) as e:
+        # (line, residual) of the invariant or of each relation that fails
+        if isinstance(e, NotInClass):
+            found = [(f"not in class: {e.invariant} = {e.value}", e.value)]
+        else:
+            found = [(f"{n}: {v}", v) for n, v in sorted(e.failures.items())]
         payload = {
             "problem": "ode2",
             "equivalent": False,
-            "residuals": [e.value],
+            "residuals": [v for _, v in found],
         }
-        lines = ["equivalent: no", f"not in class: {e.invariant} = {e.value}"]
-        return payload, lines
-    except NotEquivalent as e:
-        names = sorted(e.failures)
-        payload = {
-            "problem": "ode2",
-            "equivalent": False,
-            "residuals": [e.failures[n] for n in names],
-        }
-        lines = ["equivalent: no"]
-        lines += [f"{n}: {e.failures[n]}" for n in names]
-        return payload, lines
+        return payload, ["equivalent: no"] + [line for line, _ in found]
     payload = {
         "problem": "ode2",
         "equivalent": True,

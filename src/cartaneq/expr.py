@@ -70,11 +70,11 @@ class Expression:
     def const(chart: Chart, value) -> "Expression":
         if not isinstance(value, (int, Fraction)):
             raise TypeError(f"a constant must be an int or a Fraction, not {value!r}")
-        f = Fraction(value)
+        # an int has a numerator and a denominator too, so no Fraction
         return Expression(
             chart,
-            Polynomial.const(f.numerator),
-            Polynomial.const(f.denominator),
+            Polynomial.const(value.numerator),
+            Polynomial.const(value.denominator),
         )
 
     @staticmethod

@@ -12,23 +12,23 @@ error.  Names resolve against the chart, including derivative spellings
 such as ``f_pp``.  Rendering is the inverse: parsing a rendered expression
 on the same chart reproduces it exactly.
 
-Parsing computes with polynomials first.  Every operand is an integer
-polynomial over a positive int, each sum gathers its terms in one dict
-over the lcm of those ints, and the result is reduced once, by
-``Expression.make``.  Only a divisor that is not constant brings in
+Parsing computes with polynomials first.  Every operand with no divisor
+but an integer is an entry of ``expr._Base`` over the empty base, an
+integer polynomial over a positive int: sums, products and the one final
+reduction are that class's, so every sum goes through ``poly.lin_comb``,
+over the lcm of the ints.  Only a divisor that is not constant brings in
 ``Expression`` arithmetic, which cancels a gcd at every step; the value
 the text denotes, and so the canonical Expression, is the same either way.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
 from .chart import Chart
 from .errors import DegreeOverflow, ParseError, UnknownName
-from .expr import Expression
+from .expr import Expression, _Base
 from .poly import Polynomial
 
 MAX_EXPONENT = 512
@@ -62,27 +62,22 @@ def _tokenize(text: str):
     return tokens
 
 
-def _pair_or_expression(e: Expression):
-    """Back to a polynomial over an int once no divisor is left."""
-    if e.den.is_const:
-        return e.num, e.den.const_value()
-    return e
-
-
 class _Parser:
     """Recursive descent that evaluates as it goes.
 
-    A value is a pair ``(p, d)``, the polynomial p over the positive int d,
-    and is never reduced on the way.  Only a divisor that is not constant
-    turns a value into an Expression, whose operators reduce at every
-    step; an Expression that comes out with a constant denominator turns
-    back into a pair, so an Expression value is never zero.  ``parse``
-    reduces a pair once, with ``Expression.make``.
+    A value is an entry ``(p, d, ())`` over the empty base (see
+    ``expr._Base``), the polynomial p over the positive int d, and is
+    never reduced on the way.  Only a divisor that is not constant turns
+    a value into an Expression, whose operators reduce at every step; an
+    Expression that comes out with a constant denominator turns back into
+    an entry, so an Expression value is never zero.  ``parse`` reduces an
+    entry once, with ``_Base.reduce``.
     """
 
     def __init__(self, text: str, chart: Chart):
         self.text = text
         self.chart = chart
+        self.base = _Base(chart, [])
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -103,8 +98,13 @@ class _Parser:
     def expression(self, v) -> Expression:
         if isinstance(v, Expression):
             return v
-        p, d = v
-        return Expression.make(self.chart, p, Polynomial.const(d))
+        return self.base.reduce(*v)
+
+    def entry(self, e: Expression):
+        """Back to an entry once no divisor is left."""
+        if e.den.is_const:
+            return self.base.over(e)
+        return e
 
     def parse(self) -> Expression:
         v = self.expr()
@@ -118,37 +118,27 @@ class _Parser:
         negate = kind == "op" and val == "-"
         if negate:
             self.advance()
-        terms = [(negate, self.term())]
+        terms = [(-1 if negate else 1, self.term())]
         while True:
             kind, val, _ = self.peek()
             if kind != "op" or val not in "+-":
                 break
             self.advance()
-            terms.append((val == "-", self.term()))
-        if len(terms) > 1:
-            return self.add(terms)
-        negate, v = terms[0]
-        if not negate:
-            return v
-        return -v if isinstance(v, Expression) else (-v[0], v[1])
+            terms.append((-1 if val == "-" else 1, self.term()))
+        return self.add(terms)
 
     def add(self, terms):
-        """One dict over the lcm of the pairs' ints, then the Expressions."""
-        lcm = math.lcm(*(v[1] for _, v in terms if isinstance(v, tuple)))
-        acc = {}
-        rest = []
-        for negate, v in terms:
-            if isinstance(v, Expression):
-                rest.append(-v if negate else v)
-                continue
-            p, d = v
-            k = -(lcm // d) if negate else lcm // d
-            for m, c in p.terms:
-                acc[m] = acc.get(m, 0) + k * c
-        total = Polynomial.from_dict(acc), lcm
-        if not rest:
-            return total
-        return _pair_or_expression(sum(rest, self.expression(total)))
+        """One sum of the (sign, value) ``terms`` that are entries, then the
+        Expressions."""
+        entries = [t for t in terms if isinstance(t[1], tuple)]
+        rest = [v if k == 1 else -v
+                for k, v in terms if isinstance(v, Expression)]
+        if entries:
+            total = self.base.sum(entries)
+            if not rest:
+                return total
+            rest.insert(0, self.expression(total))
+        return self.entry(sum(rest[1:], rest[0]))
 
     def term(self):
         v = self.factor()
@@ -162,21 +152,21 @@ class _Parser:
                 v = self.product(v, rhs)
                 continue
             if isinstance(rhs, tuple):
-                q, d = rhs
+                q, d, _ = rhs
                 if q.is_zero:
                     raise ParseError("division by zero", pos)
                 if q.is_const:
                     # v / (c/d) is v * d / c, the sign on the polynomial
                     c = q.const_value()
-                    inverse = Polynomial.const(-d if c < 0 else d), abs(c)
+                    inverse = Polynomial.const(-d if c < 0 else d), abs(c), ()
                     v = self.product(v, inverse)
                     continue
-            v = _pair_or_expression(self.expression(v) / self.expression(rhs))
+            v = self.entry(self.expression(v) / self.expression(rhs))
 
     def product(self, a, b):
         if isinstance(a, Expression) or isinstance(b, Expression):
-            return _pair_or_expression(self.expression(a) * self.expression(b))
-        return a[0] * b[0], a[1] * b[1]
+            return self.entry(self.expression(a) * self.expression(b))
+        return _Base.product(a, b)
 
     def factor(self):
         v = self.atom()
@@ -191,20 +181,20 @@ class _Parser:
             if n > MAX_EXPONENT:
                 raise DegreeOverflow(f"exponent {n} exceeds {MAX_EXPONENT}")
             if isinstance(v, Expression):
-                return _pair_or_expression(v ** n)
-            v = v[0] ** n, v[1] ** n
+                return self.entry(v ** n)
+            v = v[0] ** n, v[1] ** n, ()
         return v
 
     def atom(self):
         kind, val, pos = self.advance()
         if kind == "num":
             if "." not in val:
-                return Polynomial.const(int(val)), 1
+                return Polynomial.const(int(val)), 1, ()
             f = Fraction(val)
-            return Polynomial.const(f.numerator), f.denominator
+            return Polynomial.const(f.numerator), f.denominator, ()
         if kind == "name":
             try:
-                return Polynomial.var(self.chart.resolve(val)), 1
+                return Polynomial.var(self.chart.resolve(val)), 1, ()
             except UnknownName as exc:
                 raise ParseError(str(exc), pos) from None
         if kind == "op" and val == "(":

@@ -11,8 +11,9 @@ The one order key is a monomial packed into one int (``_shifts``,
 variable in ascending key order, so descending ints are descending graded
 lex.  The fields are laid out afresh for each sort, product or division,
 just wide enough for the exponents it can meet.  Only work that can
-upset the order sorts: a sum whose shorter operand brings no new monomial
-keeps the longer operand's order, a derivative keeps its input's order
+upset the order sorts: every sum, ``+`` and ``-`` included, is one
+``lin_comb``, which keeps its longest operand's order when the others
+bring no monomial new to it, a derivative keeps its input's order
 (dividing every surviving term by one variable keeps them in order), and
 a product with a one-term operand shifts the other's terms
 (``mul_term``).  Other products (``_packed_mul``) take one of two
@@ -408,40 +409,17 @@ class Polynomial:
 
     def __add__(self, other):
         try:
-            long, short = self.terms, other.terms
+            other.terms
         except AttributeError:
             return NotImplemented
-        if not long:
-            return other
-        if not short:
-            return self
-        if len(long) < len(short):
-            long, short = short, long
-        # a dict keeps insertion order: updates and deletions leave the
-        # longer operand's terms in order, only a new monomial upsets it
-        d = dict(long)
-        new = False
-        for m, c in short:
-            got = d.get(m)
-            if got is None:
-                d[m] = c
-                new = True
-            else:
-                c += got
-                if c:
-                    d[m] = c
-                else:
-                    del d[m]
-        if new:
-            return Polynomial.from_dict(d)
-        return Polynomial(tuple(d.items()))
+        return lin_comb(((1, self), (1, other)))
 
     def __sub__(self, other):
         try:
             other.terms
         except AttributeError:
             return NotImplemented
-        return self + (-other)
+        return lin_comb(((1, self), (-1, other)))
 
     def __mul__(self, other):
         try:
@@ -606,18 +584,34 @@ def one() -> Polynomial:
 def lin_comb(pairs) -> Polynomial:
     """The sum of k*p over (k, p) in ``pairs``, the k nonzero integers.
 
-    The sum runs in one dict that starts from the longest p, so, as in
-    ``Polynomial.__add__``, a sum that brings no monomial new to it keeps
-    its order and sorts nothing.
+    This is the one loop that merges terms: ``Polynomial`` ``+`` and ``-``
+    are sums of two pairs.  A zero p is skipped, and a lone p with k = 1
+    comes back as it is.  The sum runs in one dict that starts from the
+    longest p; a dict keeps insertion order, so a sum that brings no
+    monomial new to it keeps that order and sorts nothing.
     """
-    pairs = list(pairs)
-    top = max(range(len(pairs)), key=lambda i: len(pairs[i][1].terms))
-    k, p = pairs.pop(top)
+    long = None
+    rest = []
+    for t in pairs:
+        if t[1].terms:
+            if long is None:
+                long = t
+            elif len(t[1].terms) > len(long[1].terms):
+                rest.append(long)
+                long = t
+            else:
+                rest.append(t)
+    if long is None:
+        return _ZERO
+    k, p = long
+    if not rest:
+        return p.scale(k)
     d = dict(p.terms) if k == 1 else {m: k * c for m, c in p.terms}
+    get = d.get
     new = False
-    for k, p in pairs:
+    for k, p in rest:
         for m, c in p.terms:
-            got = d.get(m)
+            got = get(m)
             if got is None:
                 d[m] = k * c
                 new = True
@@ -763,18 +757,7 @@ def _certify_var_absent(a: Polynomial, b: Polynomial, key) -> bool:
 
 def _eval_var(p: Polynomial, key, xi: int) -> Polynomial:
     """p with the variable ``key`` set to the integer xi."""
-    powers = [1]
-    for _ in range(p.degree_in(key)):
-        powers.append(powers[-1] * xi)
-    d = {}
-    for m, c in p.terms:
-        for i, (k, e) in enumerate(m):
-            if k == key:
-                c *= powers[e]
-                m = m[:i] + m[i + 1:]
-                break
-        d[m] = d.get(m, 0) + c
-    return Polynomial.from_dict(d)
+    return lin_comb([(xi ** e, c) for e, c in _coeffs(p, key).items()])
 
 
 def _interpolate(h: Polynomial, key, xi: int) -> Polynomial:

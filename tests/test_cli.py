@@ -195,6 +195,21 @@ def test_painleve_text_verdicts(capsys):
     assert out == "equivalent: no\nX3: 12\n"
 
 
+def test_painleve_refuses_an_equation_outside_the_class(capsys):
+    # I2 or I3 does not vanish: a definite no, naming the first invariant
+    code, out, _ = run(capsys, "painleve", "--f", "p^3")
+    assert code == 0
+    assert out == "equivalent: no\nnot in class: I2 = 3/a3^2\n"
+    code, payload = run_json(capsys, "painleve", "--f", "p^3")
+    assert code == 0
+    assert payload == {
+        "problem": "ode2", "equivalent": False, "residuals": ["3/a3^2"],
+    }
+    code, out, _ = run(capsys, "painleve", "--f", "x*p^2+y*p")
+    assert code == 0
+    assert out == "equivalent: no\nnot in class: I3 = -1/(2*a3)\n"
+
+
 def test_pullback(capsys):
     code, payload = run_json(
         capsys, "pullback", "--eta", "y^2", "--C", "0", "--target", "0"

@@ -499,6 +499,19 @@ def test_derivatives_and_sums_within_a_support_do_not_sort(monkeypatch):
     assert calls == [4, 4]
 
 
+def test_lin_comb_skips_zeros_and_returns_a_lone_operand():
+    p = SUBSET
+    assert p + zero() is p
+    assert zero() + p is p
+    assert p - zero() is p
+    assert poly.lin_comb([(5, zero()), (1, p), (-2, zero())]) is p
+    assert poly.lin_comb([(3, zero())]) == zero()
+    assert poly.lin_comb([]) == zero()
+    assert p - p == zero()
+    assert poly.lin_comb([(-1, p)]) == -p
+    assert poly.lin_comb([(2, zero()), (-3, p)]) == p.scale(-3)
+
+
 def test_squarefree_splits_content_and_multiplicities():
     x, y, z = (P({((v, 1),): 1}) for v in (X, Y, Z))
     a, b = x + y + one(), x * y - z
