@@ -7,6 +7,11 @@ The accepted grammar is deliberately small:
     factor := atom ('^' nonneg-integer)?
     atom   := rational | name | '(' expr ')'
 
+Parentheses nest at most ``MAX_NESTING`` deep; the first ``(`` past that
+is a ``ParseError``.  Each level takes four frames of the recursive
+descent, so the limit keeps a parse well inside Python's default
+recursion limit of 1000.
+
 There is no implicit multiplication; ``2*x`` is required, ``2x`` is an
 error.  Names resolve against the chart, including derivative spellings
 such as ``f_pp``.  Rendering is the inverse: parsing a rendered expression
@@ -32,6 +37,7 @@ from .expr import Expression, _Base
 from .poly import Polynomial
 
 MAX_EXPONENT = 512
+MAX_NESTING = 100
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
@@ -80,6 +86,7 @@ class _Parser:
         self.base = _Base(chart, [])
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -198,8 +205,13 @@ class _Parser:
             except UnknownName as exc:
                 raise ParseError(str(exc), pos) from None
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             v = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return v
         if kind == "end":
             raise ParseError("unexpected end of input", pos)

@@ -21,11 +21,11 @@ accumulators, which give the same terms in the same order.  A product's
 exponent box holds every exponent vector whose exponent in each variable
 lies between 0 and the sum of the operands' top exponents in it.  When
 the box has no more cells than the product has term pairs, and there are at
-least 256 pairs, the product is dense: it sums in a flat list indexed by
-the exponents in mixed radix and reads the nonzero cells out by total
-degree, with no sort (``_box_mul``).  Any other product adds packed
-ints in a dict and sorts them once (``_dict_mul``).  Either way a
-square runs over the upper triangle of its term pairs.
+least 256 pairs, the product is dense: it multiplies the box's rows
+along the last variable, each packed into one int, and reads the nonzero
+rows out by total degree, with no sort (``_box_mul``).  Any other product
+adds packed ints in a dict and sorts them once (``_dict_mul``).  Either
+way a square runs over the upper triangle of its term pairs or rows.
 
 ``cofactors(a, b)`` returns the gcd over the integers with the quotients
 a/g and b/g.  It is computed in stages, and every stage but the last
@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import compress, product
+from itertools import product
 
 from .errors import DivisionByZero
 
@@ -152,9 +152,10 @@ def _degree(terms):
 
 
 # A product of fewer term pairs than this always sums in a dict: below it
-# the box's fixed costs (a pass for the top exponents, the list, the walk
-# over every cell) cost more than hashing saves.  With no floor the
-# products of a rational-rhs benchmark round took 1.3-1.4x as long.
+# the box's fixed costs (the top exponents, packing, the walk over heads)
+# cost more than hashing saves.  A warm rational-rhs round (seed 7, CPU,
+# median of 8 alternating processes) took 1.04x as long with the floor at
+# 64, 1.00x at 16 and 1.06x with none; paper-corpus read 0.99-1.00x.
 _BOX_MIN_PAIRS = 256
 
 
@@ -165,10 +166,10 @@ def _packed_mul(ta, tb) -> "Polynomial":
     exponent in each variable lies between 0 and the sum of the operands'
     top exponents in it.  When it has no more cells than the product has
     term pairs, and there are at least ``_BOX_MIN_PAIRS`` pairs, the
-    product sums in a flat list over the box (``_box_mul``), so the list
-    is never longer than the pair loop.  Any other product, a sparse one,
-    sums in a dict keyed by packed monomials (``_dict_mul``).  Both
-    return the terms in graded lex order, highest first.
+    product multiplies the box's rows packed into ints (``_box_mul``), so
+    it reads no more cells than the pair loop has pairs.  Any other
+    product, a sparse one, sums in a dict keyed by packed monomials
+    (``_dict_mul``).  Both return the terms in graded lex order, highest first.
     """
     if len(ta) > len(tb):
         ta, tb = tb, ta
@@ -237,63 +238,75 @@ def _dict_mul(ta, tb, keys):
 
 
 def _box_mul(ta, tb, radix, cells):
-    """Terms of a product summed in a list over its exponent box.
+    """Terms of a product over its exponent box, one packed int per row.
 
     ``radix`` gives each variable's number of exponent values in the
-    product.  A monomial's cell is its mixed-radix index, earlier keys
-    more significant, so monomials multiply by adding indices, and
-    ascending indices within one total degree are ascending lex.  The
-    nonzero cells go into one bucket per total degree, and the buckets
-    read from the top degree down, each reversed, are graded lex,
-    highest first, with no comparison sort.  A square (``ta is tb``) adds
-    each square term once and each cross term of the upper triangle
-    twice.
+    product.  A row runs along the last variable in key order; its head,
+    the other exponents in mixed radix (earlier keys more significant),
+    multiplies by adding indices.  An operand row is one int (Kronecker
+    substitution, Fateman 2005): ``c * head * v^e`` adds ``c << (w*e)``,
+    w bits being enough for any product coefficient, a sum of at most
+    ``len(ta)`` term products, as a balanced digit.  A square (``ta is
+    tb``) takes the upper triangle of row pairs, the row doubled.  Nonzero
+    product rows are read by digits into one bucket per total degree, and
+    ascending heads and digits are ascending lex within one degree, so the
+    buckets read from the top degree down, each reversed, are graded lex.
     """
-    stride = {}
-    s = 1
-    for k in sorted(radix, reverse=True):
-        stride[k] = s
-        s *= radix[k]
-
-    def index(m):
-        i = 0
-        for k, e in m:
-            i += e * stride[k]
-        return i
-
-    pb = [(index(m), c) for m, c in tb]
-    acc = [0] * cells
-    if ta is tb:
-        for i, (a, ca) in enumerate(pb):
-            acc[a + a] += ca * ca
-            ca += ca
-            for b, cb in pb[i + 1:]:
-                acc[a + b] += ca * cb
-    else:
-        for m, ca in ta:
-            a = index(m)
-            for b, cb in pb:
-                acc[a + b] += ca * cb
-
-    # the box in rows along the last variable, whose stride is 1; a head
-    # holds the other variables' exponents as a monomial piece and a degree
     keys = sorted(radix)
     last = keys.pop()
-    width = radix[last]
+    width = s = radix[last]
+    stride = {last: 1}
+    for k in reversed(keys):
+        stride[k] = s
+        s *= radix[k]
+    w = (max(abs(c) for _, c in ta) * max(abs(c) for _, c in tb)
+         * len(ta)).bit_length() + 1
+
+    def rows(t):
+        r = {}
+        for m, c in t:
+            i = 0
+            for k, e in m:
+                i += e * stride[k]
+            h, e = divmod(i, width)
+            r[h] = r.get(h, 0) + (c << (w * e))
+        return list(r.items())
+
+    acc = [0] * (cells // width)
+    ra = rows(ta)
+    if ta is tb:
+        for i, (h, a) in enumerate(ra):
+            acc[h + h] += a * a
+            a += a
+            for g, b in ra[i + 1:]:
+                acc[h + g] += a * b
+    else:
+        rb = rows(tb)
+        for h, a in ra:
+            for g, b in rb:
+                acc[h + g] += a * b
+
+    # a head holds its variables' exponents as a monomial piece and a degree
     tails = [((last, e),) if e else () for e in range(width)]
     heads = product(*[[(((k, e),) if e else (), e) for e in range(radix[k])]
                       for k in keys])
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
     buckets = [[] for _ in range(sum(radix.values()) - len(radix) + 1)]
-    for start, head in zip(range(0, cells, width), heads):
-        row = acc[start:start + width]
-        if any(row):
+    for r, head in zip(acc, heads):
+        if r:
             m = ()
             tot = 0
             for piece, e in head:
                 m += piece
                 tot += e
-            for e in compress(range(width), row):
-                buckets[tot + e].append((m + tails[e], row[e]))
+            for d, tail in enumerate(tails, tot):
+                c = ((r + half) & mask) - half
+                if c:
+                    buckets[d].append((m + tail, c))
+                r = (r - c) >> w
+                if not r:
+                    break
     out = []
     for bucket in reversed(buckets):
         bucket.reverse()

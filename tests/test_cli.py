@@ -17,6 +17,7 @@ import pytest
 
 import cartaneq
 from cartaneq import cli
+from cartaneq.parser import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -308,6 +309,19 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.returncode != 0
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("depth", [400, 10_000])
+def test_deep_parentheses_are_a_parse_error(depth):
+    # in a fresh interpreter, at the default recursion limit: each level
+    # takes four frames of the recursive descent
+    text = "(" * depth + "x" + ")" * depth
+    proc = fresh_cli(["check-flat", "ode2", "--f", text],
+                     capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("parse error: parentheses nested deeper than"
+                           f" {MAX_NESTING} (at position {MAX_NESTING})\n")
 
 
 def test_unknown_name_is_a_parse_error(capsys):

@@ -16,6 +16,7 @@ from cartaneq import (
     render_latex,
     render_text,
 )
+from cartaneq.parser import MAX_NESTING
 
 from conftest import random_expression, seeded
 
@@ -118,6 +119,21 @@ def test_exponent_bound():
     with pytest.raises(DegreeOverflow):
         E("x^600")
     assert E("x^512") == Expression.var(CH, "x") ** 512
+
+
+def test_nesting_bound():
+    x = Expression.var(CH, "x")
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert E(deepest) == x
+    # side by side, parentheses do not add up
+    assert E(f"{deepest} - {deepest}") == Expression.const(CH, 0)
+    # refused at the first "(" past the limit, before the recursion runs on
+    for depth in (MAX_NESTING + 1, 400, 10_000):
+        text = "-(" + "(" * (depth - 1) + "x" + ")" * depth
+        with pytest.raises(ParseError) as exc:
+            E(text)
+        assert exc.value.position == MAX_NESTING + 1
+        assert f"nested deeper than {MAX_NESTING}" in str(exc.value)
 
 
 def test_latex_rendering():

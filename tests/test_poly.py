@@ -1,5 +1,6 @@
 """Integer polynomial layer: canonical ordering, arithmetic, exact gcd."""
 
+import itertools
 import math
 import operator
 import random
@@ -361,6 +362,68 @@ def test_products_take_the_box_only_when_dense():
     f_pp = f.derivative(Z).derivative(Z)
     got, boxed = boxed_product(f, f_pp)
     assert boxed and got == reference_mul(f, f_pp)
+
+
+def _grid(coeffs, keys, n):
+    """The next of ``coeffs`` on every monomial with exponents below n in
+    each of ``keys``."""
+    return P({tuple((k, e) for k, e in zip(keys, exps) if e): next(coeffs)
+              for exps in itertools.product(range(n), repeat=len(keys))})
+
+
+def test_box_digits_at_the_width_bound():
+    # every coefficient of a is ca and of b cb, so the middle cell x^3*y^3
+    # sums len(a) = 16 products of one sign: it reaches the bound
+    # max|a| * max|b| * len(a) that sets the digit width, just under the
+    # half-range of a balanced digit
+    for k in (3, 40, 64):
+        c = (1 << k) - 1
+        for ca, cb in ((c, c), (-c, c), (c, -c), (-c, -c)):
+            a = _grid(itertools.repeat(ca), (X, Y), 4)
+            b = _grid(itertools.repeat(cb), (X, Y), 4)
+            got, boxed = boxed_product(a, b)
+            assert boxed and got == reference_mul(a, b)
+            assert dict(got.terms)[((X, 3), (Y, 3))] == 16 * ca * cb
+            square, boxed = boxed_product(a, a)
+            assert boxed and square == reference_mul(a, a)
+            assert dict(square.terms)[((X, 3), (Y, 3))] == 16 * c * c
+
+
+def test_box_product_rows_that_cancel():
+    # (x + y)(x - y)(1 + z)^14: the x*y row along z sums two nonzero
+    # row products to 0, and the x and y rows are empty
+    x, y, z = (P({((k, 1),): 1}) for k in (X, Y, Z))
+    a = (x + y) * (z + ONE) ** 7
+    b = (x - y) * (z + ONE) ** 7
+    got, boxed = boxed_product(a, b)
+    assert boxed and got == reference_mul(a, b)
+    assert got == (x * x - y * y) * (z + ONE) ** 14
+    assert not [m for m, _ in got.terms if m[:2] == ((X, 1), (Y, 1))]
+
+
+def test_box_products_of_coefficients_above_64_bits():
+    rng = random.Random(64)
+
+    def big():
+        while True:
+            yield rng.choice((-1, 1)) * rng.randrange(1 << 64, 1 << 96)
+
+    coeffs = big()
+    a = _grid(coeffs, (X, Y, Z), 3)
+    b = _grid(coeffs, (X, Y, Z), 3)
+    for left, right in ((a, b), (b, a), (a, a)):
+        got, boxed = boxed_product(left, right)
+        assert boxed and got == reference_mul(left, right)
+    assert any(c < 0 for _, c in a.terms) and any(c > 0 for _, c in a.terms)
+
+
+def test_box_squares_with_negative_coefficients():
+    x, y, z = (P({((k, 1),): 1}) for k in (X, Y, Z))
+    for a in ((x - y.scale(2) - z.scale(3) - Polynomial.const(5)) ** 4,
+              -(x + y + z + ONE) ** 4,
+              (x - y) ** 3 * (z - ONE) ** 6):
+        got, boxed = boxed_product(a, a)
+        assert boxed and got == reference_mul(a, a)
 
 
 def test_other_operand_types_are_refused():
