@@ -322,20 +322,22 @@ flag_fallbacks = 0
 def _stacked_ranks(a, A, flag):
     """sigma_k, the rank of A(v_1), ..., A(v_k) stacked, for k = 1..n.
 
-    ``flag[k][i]`` is the i-th component of v_k.  The blocks go into one
-    echelon in turn, and sigma_k is its rank once A(v_k) is in.
+    ``flag[k][i]`` is the i-th component of v_k.  The stack is kept as
+    the pivot rows of its ``rref``; each block A(v_k) is reduced together
+    with them, and sigma_k is the number of pivots.  A fully reduced stack
+    stays sparse, so each new block meets little fill-in.
     """
     sigma = []
-    echelon = linsolve.Echelon()
+    stack = []
     for v in flag:
         # rows of A(v): one per alpha, columns rho
         rows = [{} for _ in range(a)]
         for (alpha, rho, i), entry in A.items():
             if v[i]:
                 linsolve.add_entry(rows[alpha], rho, entry * v[i])
-        for row in rows:
-            echelon.add(row)
-        sigma.append(len(echelon))
+        stack, pivots = linsolve.rref(stack + rows)
+        del stack[len(pivots):]
+        sigma.append(len(pivots))
     return sigma
 
 

@@ -10,10 +10,11 @@ oracle takes its partials by ``Expression.partial`` chains and reduces
 at every product and sum, where the library keeps them over a coprime
 base and reduces each image once.  The Painleve
 oracle spells out the closure formula on the concrete report, and a
-general map recovery must agree with it.  The stacked-rank oracle
-row-reduces each stack of flag blocks from scratch, where the library
-grows one echelon.  The contact generators are sums of form
-operations, where the library builds each in one piece.
+general map recovery must agree with it.  The stacked-rank oracles
+row-reduce each stack of flag blocks from scratch, where the library
+reduces each new block against the reduced stack before it; on constant
+tableaux one of them ranks over Fractions.  The contact generators are
+sums of form operations, where the library builds each in one piece.
 """
 
 from fractions import Fraction
@@ -209,41 +210,46 @@ def check_absorption_against_brute_force(eqs, sol):
         assert all(v == 0 for v in residual_torsion(zeroed, hv).values())
 
 
+def frac_stacked_ranks(a, A, flag):
+    """sigma_k over Fractions, for a constant tableau and a flag of numbers.
+
+    Stacks A(v_1), ..., A(v_k) as lists of Fractions and ranks each stack
+    with ``frac_rank``; no library arithmetic is involved.
+    """
+    vals = {key: Fraction(e.const_value()) for key, e in A.items()}
+    r = 1 + max((rho for _, rho, _ in vals), default=-1)
+    sigma = []
+    stack = []
+    for v in flag:
+        rows = [[Fraction(0)] * r for _ in range(a)]
+        for (alpha, rho, i), q in vals.items():
+            rows[alpha][rho] += q * v[i]
+        stack.extend(rows)
+        sigma.append(frac_rank(stack))
+    return sigma
+
+
 def brute_force_sigma(eqs, rng, tries=100, span=4):
     """Cartan characters by maximizing ranks over random integer flags."""
-    a, n, r = eqs.a, eqs.n, eqs.r
-
-    def stacked(flag):
-        rows = []
-        for v in flag:
-            for alpha in range(a):
-                rows.append([
-                    sum(_aval(eqs, alpha, rho, i) * v[i] for i in range(n))
-                    for rho in range(r)
-                ])
-        return rows
-
-    best = [0] * n
+    best = [0] * eqs.n
     for _ in range(tries):
         flag = [
-            [Fraction(rng.randint(-span, span)) for _ in range(n)]
-            for _ in range(n)
+            [Fraction(rng.randint(-span, span)) for _ in range(eqs.n)]
+            for _ in range(eqs.n)
         ]
-        for k in range(1, n + 1):
-            if r == 0:
-                continue
-            got = frac_rank(stacked(flag[:k]))
-            if got > best[k - 1]:
-                best[k - 1] = got
+        got = frac_stacked_ranks(eqs.a, eqs.A, flag)
+        best = [max(b, g) for b, g in zip(best, got)]
     return tuple(best)
 
 
 def stacked_ranks(a, A, flag):
     """sigma_k by Gauss-Jordan on the whole stack, once per k.
 
-    The library's ``pfaffian._stacked_ranks`` grows one echelon block by
-    block; this stacks A(v_1), ..., A(v_k) and row-reduces the stack from
-    scratch for each k, as the library did before.
+    The library's ``pfaffian._stacked_ranks`` reduces each block A(v_k)
+    against the reduced rows of the stack before it; this stacks A(v_1),
+    ..., A(v_k) and row-reduces the stack from scratch for each k.  It
+    shares ``rref`` with the library, so ``frac_stacked_ranks`` checks
+    the constant tableaux apart from it.
     """
     sigma = []
     stacked = []

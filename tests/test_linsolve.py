@@ -70,42 +70,55 @@ def test_rank_matches_fraction_elimination():
         assert sparse == before
 
 
-def test_rank_is_the_number_of_rref_pivots():
+def test_rank_matches_sympy_over_the_rational_functions():
     # sparse rows of constant, polynomial and rational entries, with
-    # zero and repeated rows
+    # zero and repeated rows, each entry built alongside as a SymPy
+    # expression and ranked by DomainMatrix over Q(x, y)
+    sp = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
     ch = Chart(coords=("x", "y"))
     x, y = Expression.var(ch, "x"), Expression.var(ch, "y")
+    sx, sy = sp.symbols("x y")
+    field = sp.QQ.frac_field(sx, sy)
     rng = seeded(504)
 
     def entry(kind):
-        c = Expression.const(ch, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        e, s = Expression.const(ch, q), sp.Rational(q.numerator, q.denominator)
         if kind == "const":
-            return c
-        e = c + rng.randint(-2, 2) * x ** rng.randint(0, 2) * y ** rng.randint(0, 1)
+            return e, s
+        k, i, j = rng.randint(-2, 2), rng.randint(0, 2), rng.randint(0, 1)
+        e, s = e + k * x ** i * y ** j, s + k * sx ** i * sy ** j
         if kind == "rational" and rng.random() < 0.5:
-            den = x + rng.randint(1, 3) * y + rng.randint(-2, 2)
-            e = e / den
-        return e
+            b, d = rng.randint(1, 3), rng.randint(-2, 2)
+            e, s = e / (x + b * y + d), s / (sx + b * sy + d)
+        return e, s
 
     for kind in ("const", "poly", "rational"):
         for _ in range(25):
             ncols = rng.randint(1, 5)
-            rows = []
+            pairs = []
             for _ in range(rng.randint(1, 6)):
                 pick = rng.random()
                 if pick < 0.15:
-                    rows.append({})
-                elif pick < 0.3 and rows:
-                    rows.append(dict(rng.choice(rows)))
+                    pairs.append({})
+                elif pick < 0.3 and pairs:
+                    pairs.append(dict(rng.choice(pairs)))
                 else:
                     row = {}
                     for c in range(ncols):
-                        e = entry(kind)
+                        e, s = entry(kind)
                         if rng.random() < 0.6 and not e.is_zero:
-                            row[c] = e
-                    rows.append(row)
+                            row[c] = e, s
+                    pairs.append(row)
+            rows = [{c: e for c, (e, _) in row.items()} for row in pairs]
+            want = DomainMatrix(
+                [[field.convert(row[c][1]) if c in row else field.zero
+                  for c in range(ncols)] for row in pairs],
+                (len(pairs), ncols), field).rank()
             before = _snapshot(rows)
-            assert rank(rows) == len(rref(rows)[1]), (kind, rows)
+            assert rank(rows) == want, (kind, rows)
             assert rows == before
 
 

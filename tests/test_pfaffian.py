@@ -32,6 +32,7 @@ from oracles import (
     brute_force_sigma,
     check_absorption_against_brute_force,
     contact_generators,
+    frac_stacked_ranks,
     numeric_structure,
     stacked_ranks,
 )
@@ -444,11 +445,11 @@ print(inv.characters, inv.involutive, pfaffian.flag_fallbacks)
 """
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, 11])
 def test_large_contact_characters_are_certified(n):
-    # J^2(R^n, R): dimensions 26 and 34; the symbolic flag took 23 s on
-    # the first
-    out = run_fresh(_LARGE_CONTACT, str(n), timeout=4)
+    # J^2(R^n, R): dimensions 26, 34 and 89; the symbolic flag took 23 s
+    # on the first, and the integer flag takes about 1 s on the last
+    out = run_fresh(_LARGE_CONTACT, str(n), timeout=20 if n == 11 else 4)
     want = tuple(range(n, 0, -1))
     assert out.split("\n")[0] == f"{want} True 0"
 
@@ -525,11 +526,17 @@ def test_absorption_on_polynomial_entries():
 
 def test_stacked_ranks_match_the_gauss_jordan_oracle(monkeypatch):
     sigmas = []
-    echelon_ranks = pfaffian._stacked_ranks
+    over_fractions = []
+    library_ranks = pfaffian._stacked_ranks
 
     def checked(a, A, flag):
-        sigma = echelon_ranks(a, A, flag)
+        sigma = library_ranks(a, A, flag)
         assert sigma == stacked_ranks(a, A, flag)
+        # a constant tableau at an integer flag: rank over Fractions too
+        if (all(e.is_const for e in A.values())
+                and all(isinstance(t, int) for v in flag for t in v)):
+            assert sigma == frac_stacked_ranks(a, A, flag)
+            over_fractions.append(sigma)
         sigmas.append(sigma)
         return sigma
 
@@ -545,6 +552,7 @@ def test_stacked_ranks_match_the_gauss_jordan_oracle(monkeypatch):
         cartan_characters(eqs)
     drawn = len(sigmas)
     assert drawn >= len(systems)
+    assert len(over_fractions) >= len(CONTACT)
     # the symbolic flag, once per system
     monkeypatch.setattr(pfaffian, "_FLAG_TRIES", 0)
     for eqs in systems:
