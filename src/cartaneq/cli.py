@@ -108,21 +108,21 @@ def _cmd_syzygies(fmt, f):
 
 
 def _cmd_painleve(fmt, f):
-    render, _ = _renderer(fmt)
+    render, spell = _renderer(fmt)
     try:
         eta, C = painleve_map(f)
     except (NotInClass, NotEquivalent) as e:
-        # (line, residual) of the invariant or of each relation that fails
+        # (head, residual) of the invariant or of each relation that fails
         if isinstance(e, NotInClass):
-            found = [(f"not in class: {e.invariant} = {e.value}", e.value)]
+            found = [(f"not in class: {spell(e.invariant)} = ", e.value)]
         else:
-            found = [(f"{n}: {v}", v) for n, v in sorted(e.failures.items())]
+            found = [(spell(n) + ": ", v) for n, v in sorted(e.failures.items())]
         payload = {
             "problem": "ode2",
             "equivalent": False,
-            "residuals": [v for _, v in found],
+            "residuals": [render_text(v) for _, v in found],
         }
-        return payload, ["equivalent: no"] + [line for line, _ in found]
+        return payload, ["equivalent: no"] + [h + render(v) for h, v in found]
     payload = {
         "problem": "ode2",
         "equivalent": True,

@@ -52,7 +52,7 @@ class VanishingJacobian(CartanError):
 class NotInClass(CartanError):
     """The equation is outside the class the solver handles.
 
-    Carries the name and value of the invariant that failed to vanish.
+    Carries the name and Expression value of the invariant that did not vanish.
     """
 
     def __init__(self, invariant, value):

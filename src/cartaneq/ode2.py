@@ -277,8 +277,10 @@ def realize_syzygy(rel: Expression, rep: EquivalenceReport) -> Expression:
     values = {}
     for m, inv in zip((1, 2, 3), rep.invariants):
         values[ach.key_of(f"I{m}")] = inv
-        for i in (1, 2, 3, 4):
-            values[ach.key_of(f"X{i}I{m}")] = rep.frame[i - 1](inv)
+        # one differential per invariant: each partial of it is taken once
+        dinv = DifferentialForm(rep.chart, 0, {(): inv}).d()
+        for i, X in enumerate(rep.frame, 1):
+            values[ach.key_of(f"X{i}I{m}")] = X.pair(dinv)
     if not rel.variables() <= values.keys():
         raise DomainError("relation mentions a coframe direction")
     return rel.map_vars(values, rep.chart)
@@ -338,18 +340,17 @@ def painleve_map(f: Expression):
     eta = -I1/12 and C = -(1/24) I1^2 - (1/12) X3(X3(I1)) - x, and the
     four closure residuals -12 X_i(C) must vanish (otherwise NotEquivalent
     listing the failures; a flat equation fails the X3 relation with
-    residual 12).  It reads the concrete report: the invariants and the
-    four frame fields, 12 of the 24 components of the symbolic report.
+    residual 12); both refusals carry their residuals as Expressions.  It
+    reads the concrete report: the invariants and the four frame fields,
+    12 of the 24 components of the symbolic report.
     """
-    from .parser import render_text
-
     rep = run_equivalence_ode2(f)
     ch = rep.chart
     I1, I2, I3 = rep.invariants
     if not I2.is_zero:
-        raise NotInClass("I2", render_text(I2))
+        raise NotInClass("I2", I2)
     if not I3.is_zero:
-        raise NotInClass("I3", render_text(I3))
+        raise NotInClass("I3", I3)
 
     X3 = rep.frame[2]
     c24 = Expression.const(ch, Fraction(-1, 24))
@@ -358,11 +359,13 @@ def painleve_map(f: Expression):
     eta = c12 * I1
     C = c24 * I1 * I1 + c12 * X3(X3(I1)) - x
 
+    # one differential of C, so that each partial of it is taken once
+    dC = DifferentialForm(ch, 0, {(): C}).d()
     failures = {}
     for name, X in zip(("X1", "X2", "X3", "X4"), rep.frame):
-        res = Expression.const(ch, -12) * X(C)
+        res = Expression.const(ch, -12) * X.pair(dC)
         if not res.is_zero:
-            failures[name] = render_text(res)
+            failures[name] = res
     if failures:
         raise NotEquivalent(failures)
 
@@ -379,7 +382,8 @@ def pullback_ode2(eta: Expression, C: Expression,
     """Right-hand side of the equation pulled back along x+C, eta(x, y).
 
     All inputs live on the base chart: eta in (x, y) with eta_y not
-    identically zero, C a constant, fbar in (x, y, p).
+    identically zero, C a constant, fbar in (x, y, p).  The five partials
+    of eta it needs are read off one ``Partials`` table of eta.
     """
     ch = ode2_chart()
     for name, e in (("eta", eta), ("C", C), ("fbar", fbar)):
@@ -389,15 +393,12 @@ def pullback_ode2(eta: Expression, C: Expression,
         raise DomainError("eta may only depend on x and y")
     if not C.is_const:
         raise DomainError("C must be a constant")
-    eta_y = eta.partial("y")
+    t = Partials(eta, {0: "x", 1: "y"})
+    eta_y = t[1,]
     if eta_y.is_zero:
         raise VanishingJacobian("eta must depend on y")
 
     x = Expression.var(ch, "x")
     p = Expression.var(ch, "p")
-    eta_x = eta.partial("x")
-    fb = fbar.subs_coords({"x": x + C, "y": eta, "p": eta_x + p * eta_y})
-    eta_xx = eta_x.partial("x")
-    eta_xy = eta_x.partial("y")
-    eta_yy = eta_y.partial("y")
-    return (fb - eta_xx - 2 * p * eta_xy - p * p * eta_yy) / eta_y
+    fb = fbar.subs_coords({"x": x + C, "y": eta, "p": t[0,] + p * eta_y})
+    return (fb - t[0, 0] - 2 * p * t[0, 1] - p * p * t[1, 1]) / eta_y

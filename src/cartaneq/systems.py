@@ -1,14 +1,15 @@
 """Flatness tests for ODE systems and a class of PDE systems.
 
 Both tests evaluate closed-form obstruction lists; an input is equivalent
-to the flat model exactly when every residual vanishes identically.
+to the flat model exactly when every residual vanishes identically.  Each
+right-hand side has one ``Partials`` table, and every partial a residual
+needs, total derivatives included, is read off it.
 """
 
 from __future__ import annotations
 
 from .chart import Chart
 from .expr import Expression, Partials, require_chart
-from .forms import VectorField
 from .ode2 import FlatnessReport
 
 
@@ -32,35 +33,32 @@ def check_flat_ode_system(F1: Expression, F2: Expression) -> FlatnessReport:
     ch = odesys_chart()
     F1 = require_chart(F1, ch, "F1")
     F2 = require_chart(F2, ch, "F2")
-    # the velocity partials of F1 and F2, and the first ones bound once
-    along = {1: "dx1", 2: "dx2"}
+    # one table of the partials along t, x1, x2, dx1, dx2 (0 to 4) per F_i
+    along = dict(enumerate(ch.coords))
     P, Q = Partials(F1, along), Partials(F2, along)
-    P1, P2, Q1, Q2 = P[1,], P[2,], Q[1,], Q[2,]
-    D0 = VectorField(ch, {
-        "t": 1,
-        "x1": Expression.var(ch, "dx1"),
-        "x2": Expression.var(ch, "dx2"),
-    })
+    P1, P2, Q1, Q2 = P[3,], P[4,], Q[3,], Q[4,]
+    dx1, dx2 = Expression.var(ch, "dx1"), Expression.var(ch, "dx2")
 
     def Dt(R, i):
-        """The total derivative D0 + F1 d/ddx1 + F2 d/ddx2 of R[i]."""
-        return D0(R[i,]) + F1 * R[1, i] + F2 * R[i, 2]
+        """The total derivative of R[i]: d/dt + dx_j d/dx_j + F_j d/ddx_j."""
+        return (R[0, i] + dx1 * R[1, i] + dx2 * R[2, i]
+                + F1 * R[3, i] + F2 * R[i, 4])
 
-    r1 = Q[1, 1, 1]
-    r2 = P[2, 2, 2]
-    r3 = Q[2, 2, 2] - 3 * P[1, 2, 2]
-    r4 = P[1, 1, 1] - 3 * Q[1, 1, 2]
-    r5 = P[1, 1, 2] - Q[1, 2, 2]
-    r6 = 2 * Dt(P, 2) - P2 * P1 - Q2 * P2 - 4 * F1.partial("x2")
+    r1 = Q[3, 3, 3]
+    r2 = P[4, 4, 4]
+    r3 = Q[4, 4, 4] - 3 * P[3, 4, 4]
+    r4 = P[3, 3, 3] - 3 * Q[3, 3, 4]
+    r5 = P[3, 3, 4] - Q[3, 4, 4]
+    r6 = 2 * Dt(P, 4) - P2 * P1 - Q2 * P2 - 4 * P[2,]
     r7 = (
         -(Q2 ** 2)
-        - 2 * Dt(P, 1)
-        - 4 * F2.partial("x2")
-        + 4 * F1.partial("x1")
-        + 2 * Dt(Q, 2)
+        - 2 * Dt(P, 3)
+        - 4 * Q[2,]
+        + 4 * P[1,]
+        + 2 * Dt(Q, 4)
         + P1 ** 2
     )
-    r8 = -2 * Dt(Q, 1) + Q2 * Q1 + 4 * F2.partial("x1") + P1 * Q1
+    r8 = -2 * Dt(Q, 3) + Q2 * Q1 + 4 * Q[1,] + P1 * Q1
     return FlatnessReport("odesys", [r1, r2, r3, r4, r5, r6, r7, r8])
 
 

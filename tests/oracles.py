@@ -10,10 +10,12 @@ oracle takes its partials by ``Expression.partial`` chains and reduces
 at every product and sum, where the library keeps them over a coprime
 base and reduces each image once.  The Painleve
 oracle spells out the closure formula on the concrete report, and a
-general map recovery must agree with it.  The stacked-rank oracles
-row-reduce each stack of flag blocks from scratch, where the library
-reduces each new block against the reduced stack before it; on constant
-tableaux one of them ranks over Fractions.  The contact generators are
+general map recovery must agree with it.  The transported invariants
+compose a target's invariants with the lifted point map, so they check
+the pullback and the report with no closed form of either.  The
+stacked-rank oracles row-reduce each stack of flag blocks from scratch,
+where the library reduces each new block against the reduced stack
+before it; on constant tableaux one of them ranks over Fractions.  The contact generators are
 sums of form operations, where the library builds each in one piece.
 """
 
@@ -33,7 +35,6 @@ from cartaneq import (
 from cartaneq.chart import KIND_DERIV
 from cartaneq.expr import poly_partial
 from cartaneq.linsolve import rref
-from cartaneq.parser import render_text
 from cartaneq.pfaffian import StructureEquations, _jet_names
 
 
@@ -318,9 +319,9 @@ def painleve_map_via_report(f):
     rep = run_equivalence_ode2(f)
     ch = rep.chart
     if not rep.I2.is_zero:
-        raise NotInClass("I2", render_text(rep.I2))
+        raise NotInClass("I2", rep.I2)
     if not rep.I3.is_zero:
-        raise NotInClass("I3", render_text(rep.I3))
+        raise NotInClass("I3", rep.I3)
 
     X1, X2, X3, X4 = rep.frame
     I1 = rep.I1
@@ -334,7 +335,7 @@ def painleve_map_via_report(f):
     for name, X in zip(("X1", "X2", "X3", "X4"), rep.frame):
         res = Expression.const(ch, -12) * X(C)
         if not res.is_zero:
-            failures[name] = render_text(res)
+            failures[name] = res
     if failures:
         raise NotEquivalent(failures)
 
@@ -344,3 +345,22 @@ def painleve_map_via_report(f):
     if eta.partial("y").is_zero:
         raise VanishingJacobian("the recovered eta does not depend on y")
     return eta, C
+
+
+def transported(rep, eta, C):
+    """The invariants of ``rep`` composed with the lifted point map
+    (x, y, p, a3) -> (x + C, eta, eta_x + p*eta_y, a3/eta_y).
+
+    If ``rep`` is the report of y'' = fbar, these are the invariants of
+    ``pullback_ode2(eta, C, fbar)``: invariants are carried along the
+    pseudogroup, so no closed form of them is needed.  The partials of
+    ``eta`` are ``Expression.partial`` calls, and the composition is
+    ``subs_coords`` on the report chart.
+    """
+    ch = rep.chart
+    eta, C = eta.rebase(ch), C.rebase(ch)
+    eta_y = eta.partial("y")
+    p, a3 = Expression.var(ch, "p"), Expression.var(ch, "a3")
+    lift = {"x": Expression.var(ch, "x") + C, "y": eta,
+            "p": eta.partial("x") + p * eta_y, "a3": a3 / eta_y}
+    return tuple(inv.subs_coords(lift) for inv in rep.invariants)

@@ -191,7 +191,8 @@ def test_criterion_5_painleve_round_trip():
 
     with pytest.raises(NotEquivalent) as exc:
         painleve_map(E("0"))
-    assert exc.value.failures == {"X3": "12"}
+    twelve = Expression.const(run_equivalence_ode2().chart, 12)
+    assert exc.value.failures == {"X3": twelve}
 
 
 def test_criterion_6_ode_system_flatness():

@@ -211,6 +211,22 @@ def test_painleve_refuses_an_equation_outside_the_class(capsys):
     assert out == "equivalent: no\nnot in class: I3 = -1/(2*a3)\n"
 
 
+def test_painleve_latex_refusals_are_latex(capsys):
+    # names spelled as ``invariants --format latex`` spells I1, residuals
+    # by the LaTeX renderer: no text-syntax product anywhere
+    code, out, _ = run(capsys, "invariants", "--format", "latex")
+    assert code == 0 and out.startswith("I_{1} = ")
+    for f, line in (
+        ("p^3/(y+1) + x",
+         "not in class: I_{2} = \\frac{3}{y a_{3}^{2} + a_{3}^{2}}"),
+        ("0", "X_{3}: 12"),
+    ):
+        code, out, _ = run(capsys, "painleve", "--f", f, "--format", "latex")
+        assert code == 0
+        assert out == f"equivalent: no\n{line}\n"
+        assert "*" not in out
+
+
 def test_pullback(capsys):
     code, payload = run_json(
         capsys, "pullback", "--eta", "y^2", "--C", "0", "--target", "0"

@@ -38,7 +38,7 @@ CORPUS = [
     ["swell-demo"],
 ]
 
-GOLDEN_SHA256 = "d56627561c58f990d91ab12f233e91367f0a0042f96a76d61a575e159f6e65f3"
+GOLDEN_SHA256 = "2fb63cf334fc8072c0b2cefc62d4a73466814357260db8ad0cd639ce94438c49"
 
 
 def _corpus_stdout(capsys) -> str:

@@ -33,7 +33,7 @@ from cartaneq.pfaffian import absorb_torsion, distinct_up_to_sign
 from cartaneq.poly import Polynomial
 
 from conftest import seeded
-from oracles import painleve_map_via_report
+from oracles import painleve_map_via_report, transported
 
 BASE = ode2_chart()
 
@@ -290,15 +290,43 @@ def test_each_partial_of_a_system_rhs_is_taken_once(monkeypatch):
     )]
     calls = _recorded_partials(monkeypatch)
     check_flat_ode_system(F1, F2)
-    # 9 velocity partials of each F_i, table steps, and 2 position
+    # steps of one table per F_i: 9 velocity partials and 2 position
     # partials of each, and the t, x1 and x2 partials of the four first
-    # velocity partials
-    assert len(calls) == 34 and len(set(calls)) == len(calls)
-    assert sum(isinstance(t, int) for t, _ in calls) == 18
+    # velocity partials, which the total derivatives read
+    assert len(calls) == 36 and len(set(calls)) == len(calls)
+    assert all(isinstance(t, int) for t, _ in calls)
     calls.clear()
     check_flat_pde_system(*f)
     assert len(calls) == 15 and len(set(calls)) == len(calls)
     assert all(isinstance(t, int) for t, _ in calls)
+
+
+def test_each_partial_of_a_computed_value_is_taken_once(monkeypatch):
+    relations = syzygies_ode2().relations
+    target = E("6*y^2 + x")
+    # the pullback reads eta's five partials off one table
+    eta, C = E("(x*y + 1)/(y + 2)"), E("3")
+    calls = _recorded_partials(monkeypatch)
+    pullback_ode2(eta, C, target)
+    assert len(calls) == 5 and len(set(calls)) == len(calls)
+    assert all(isinstance(t, int) for t, _ in calls)
+    # painleve_map and realize_syzygy pair each frame field with one
+    # differential of each value, so no (value, direction) pair repeats
+    fs = [pullback_ode2(E("2*y + x^2"), E("0"), target),
+          pullback_ode2(eta, C, target), E("x*y"), E("p^3/(y + 1) + x*y")]
+    for f in fs:
+        rep = run_equivalence_ode2(f)
+        rep.frame
+        calls.clear()
+        try:
+            painleve_map(f)
+        except (NotInClass, NotEquivalent):
+            pass
+        assert len(set(calls)) == len(calls), f
+        for rel in relations:
+            calls.clear()
+            realize_syzygy(rel, rep)
+            assert len(set(calls)) == len(calls), (f, rel)
 
 
 def test_each_power_of_an_image_is_computed_once(monkeypatch):
@@ -385,10 +413,13 @@ def test_painleve_examples():
 def test_painleve_rejects_bad_class_and_flat():
     with pytest.raises(NotInClass) as exc:
         painleve_map(E("p^3"))
+    bundle = run_equivalence_ode2().chart
     assert exc.value.invariant == "I2"
+    assert exc.value.value == parse_expression("3/a3^2", bundle)
     with pytest.raises(NotEquivalent) as exc:
         painleve_map(E("0"))
-    assert exc.value.failures == {"X3": "12"}
+    twelve = Expression.const(bundle, 12)
+    assert exc.value.failures == {"X3": twelve}
 
 
 def _painleve_outcome(route, f):
@@ -454,6 +485,26 @@ def test_pullback_validates_inputs():
     other = Chart(coords=("x", "y", "q"))
     with pytest.raises(ChartMismatch):
         pullback_ode2(parse_expression("y", other), z, z)
+
+
+def test_pullback_transports_the_invariants():
+    # the invariants of a pullback are the target's composed with the
+    # lifted map; sending a3 to -a3/eta_y fails 16 of these 24 pairs (all
+    # but PI and PII, where I3 = 0), and shifting C by one fails 12
+    targets = [E(text) for text in (
+        "6*y^2 + x", "2*y^3 + x*y + 1/3", "y^2 + p^3", "x*p^2 + y*p",
+        "(y^2 + p)/(x + y)", "p^3/(y + 1) + x*y",
+    )]
+    maps = [(E(eta), E(C)) for eta, C in (
+        ("y^2 + x*y + 1", "7/3"), ("2*y + x^2", "-1"),
+        ("2*y/(x + 1)", "1/2"), ("(x*y + 1)/(y + 2)", "3"),
+    )]
+    for fbar in targets:
+        rep = run_equivalence_ode2(fbar)
+        for eta, C in maps:
+            f = pullback_ode2(eta, C, fbar)
+            got = run_equivalence_ode2(f).invariants
+            assert got == transported(rep, eta, C), (fbar, eta, C)
 
 
 def test_painleve_round_trip():
