@@ -267,7 +267,9 @@ class Expression:
 
         ``mapping`` must give an image for every variable present.
         """
-        return VariableMap(chart, {k: mapping[k] for k in self.variables()})(self)
+        images = {k: require_chart(mapping[k], chart, "an image")
+                  for k in self.variables()}
+        return VariableMap(chart, images)(self)
 
     def substitute(self, fname: str, value: "Expression") -> "Expression":
         """Replace an opaque function symbol by a concrete expression.
@@ -638,7 +640,9 @@ class Substitution(VariableMap):
     contradict the partials already taken, so it raises ArgumentEscape.
     The partials of the value are one ``Partials`` table, whose base is
     the map's: a derivative symbol of the function maps to its entry in
-    the table, every other variable to itself.
+    the table, every other variable to itself.  The value and every
+    argument of a call pass ``require_chart``: anything but an Expression
+    raises TypeError, and one on another chart ChartMismatch.
     """
 
     def __init__(self, chart: Chart, fname: str, value: Expression):
@@ -647,8 +651,7 @@ class Substitution(VariableMap):
             raise UnknownName(f"{fname!r} is not an opaque function")
         fidx = fkey[1]
         fn = chart.functions[fidx]
-        if value.chart != chart:
-            raise ChartMismatch("substitution value lives on a different chart")
+        require_chart(value, chart, "a substitution value")
         allowed = {chart.key_of(a) for a in fn.args}
         for w in value.variables():
             if w[0] == KIND_COORD:
@@ -681,6 +684,5 @@ class Substitution(VariableMap):
         return Expression.from_key(self.chart, k)
 
     def __call__(self, e: Expression) -> Expression:
-        if e.chart != self.chart:
-            raise ChartMismatch("expression lives on a different chart")
-        return super().__call__(e)
+        return super().__call__(
+            require_chart(e, self.chart, "a substitution's argument"))

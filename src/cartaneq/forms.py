@@ -270,9 +270,7 @@ class VectorField:
                 raise ValueError(f"basis direction {idx} is given twice")
             if not isinstance(c, Expression):
                 c = Expression.const(chart, c)
-            elif c.chart != chart:
-                raise ChartMismatch("coefficient lives on a different chart")
-            given[idx] = c
+            given[idx] = require_chart(c, chart, "a coefficient")
         self.comps = {idx: c for idx, c in given.items() if not c.is_zero}
 
     def _sum(self, terms):
@@ -281,9 +279,12 @@ class VectorField:
         return reduce(add, terms) if terms else Expression.const(self.chart, 0)
 
     def __call__(self, h: Expression) -> Expression:
-        """Directional derivative of a scalar."""
-        if h.chart != self.chart:
-            raise ChartMismatch("scalar lives on a different chart")
+        """Directional derivative of a scalar, sum of c_v dh/dv.
+
+        ``h`` passes ``require_chart``: anything but an Expression raises
+        TypeError, and one on another chart ChartMismatch.
+        """
+        require_chart(h, self.chart, "a scalar")
         keys = self.chart.basis_keys()
         partials = ((c, h.partial(keys[idx])) for idx, c in self.comps.items())
         return self._sum(c * dh for c, dh in partials if not dh.is_zero)

@@ -12,6 +12,10 @@ is a ``ParseError``.  Each level takes four frames of the recursive
 descent, so the limit keeps a parse well inside Python's default
 recursion limit of 1000.
 
+The text is cut into tokens by one scan of one regular expression.
+Whitespace (what ``str.isspace`` calls whitespace, the no-break and em
+spaces included) separates tokens and is otherwise skipped; any other
+character that starts no token is a ``ParseError`` at its position.
 There is no implicit multiplication; ``2*x`` is required, ``2x`` is an
 error.  Names resolve against the chart, including derivative spellings
 such as ``f_pp``.  Rendering is the inverse: parsing a rendered expression
@@ -40,31 +44,18 @@ MAX_EXPONENT = 512
 MAX_NESTING = 100
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S)"
 )
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = n - len(stripped)
-            raise ParseError(f"unexpected character {text[at]!r}", at)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 

@@ -323,7 +323,7 @@ def test_closed_stdout_exits_quietly():
                          stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
-    assert proc.returncode != 0
+    assert proc.returncode == 1
     assert proc.stderr == b""
 
 

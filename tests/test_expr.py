@@ -147,6 +147,9 @@ def test_decision_procedure_examples():
     assert E("f_p") * E("f_y") - E("f_y") * E("f_p") == 0
     assert ((x + y) ** 2 - x * x - 2 * x * y - y * y).is_zero
     assert (x * x - y * y) / (x - y) == x + y
+    # a number on the left of '-' goes through __rsub__
+    assert 3 - x == E("3 - x")
+    assert Fraction(1, 2) - x / y == E("(y - 2*x)/(2*y)")
 
 
 def test_quotient_reduction_agrees_with_evaluation():
@@ -433,6 +436,39 @@ def test_substitute_respects_declared_arguments():
     assert g.substitute("g", ok) == ok
     with pytest.raises(ArgumentEscape):
         g.substitute("g", parse_expression("p", ch))
+    # a parameter, or an inner symbol with more arguments, escapes too
+    wide = Chart(coords=("x", "y", "p"), params=("a3",),
+                 functions=[("g", ("x", "y")), ("h", ("x", "y", "p"))])
+    for text in ("p", "a3", "h", "x + h_x"):
+        with pytest.raises(ArgumentEscape):
+            Substitution(wide, "g", parse_expression(text, wide))
+    for name in ("x", "a3", "g_x"):
+        with pytest.raises(UnknownName):
+            Substitution(wide, name, parse_expression("y", wide))
+
+
+def test_substitution_and_map_vars_refuse_other_operands():
+    # every value, argument and image passes require_chart
+    x = E("x")
+    sub = Substitution(CH, "f", x)
+    other = Expression.var(Chart(coords=("x", "y")), "x")
+    for bad in (3, None):
+        with pytest.raises(TypeError):
+            Substitution(CH, "f", bad)
+        with pytest.raises(TypeError):
+            E("f_p").substitute("f", bad)
+        with pytest.raises(TypeError):
+            sub(bad)
+    with pytest.raises(TypeError):
+        E("x*f").map_vars({k: 3 for k in E("x*f").variables()}, CH)
+    with pytest.raises(ChartMismatch):
+        Substitution(CH, "f", other)
+    with pytest.raises(ChartMismatch):
+        sub(other)
+    with pytest.raises(ChartMismatch):
+        x.map_vars({k: other for k in x.variables()}, CH)
+    assert sub(E("f_x + f")) == x + 1
+    assert E("x*f").map_vars({k: x for k in E("x*f").variables()}, CH) == E("x^2")
 
 
 def test_substitution_consistent_with_chain_rule_numerically():
@@ -531,6 +567,17 @@ def test_chart_mismatch_and_unknown_names():
         E("x") + Expression.var(other, "x")
     with pytest.raises(UnknownName):
         Expression.var(CH, "zz")
+    # a chart names each variable once, and opaque symbols take coordinates
+    for bad in (
+        dict(coords=("x", "x")),
+        dict(coords=("x",), params=("x",)),
+        dict(coords=("x",), params=("a",), functions=[("a", ("x",))]),
+        dict(coords=("x",), functions=[("f", ("x",)), ("f", ("x",))]),
+        dict(coords=("x",), params=("a",), functions=[("f", ("a",))]),
+        dict(coords=("x",), functions=[("f", ("z",))]),
+    ):
+        with pytest.raises(ValueError):
+            Chart(**bad)
 
 
 def test_rebase_and_project_roundtrip():
@@ -546,6 +593,17 @@ def test_rebase_and_project_roundtrip():
     stuck = parse_expression("a3*x", big)
     with pytest.raises(ChartMismatch):
         stuck.project(base)
+    # a chart this one does not extend, and a coordinate or a function
+    # missing from the target
+    with pytest.raises(ChartMismatch):
+        up.project(Chart(coords=("y", "x")))
+    with pytest.raises(ChartMismatch):
+        parse_expression("p", big).project(Chart(coords=("x", "y")))
+    with pytest.raises(ChartMismatch):
+        parse_expression("f_x", big).project(
+            Chart(coords=("x", "y", "p"), params=("a3",)))
+    assert parse_expression("x", big).project(Chart(coords=("x",))) == (
+        parse_expression("x", Chart(coords=("x",))))
 
 
 def test_evaluate_requires_all_variables_and_flags_poles():

@@ -232,6 +232,10 @@ def test_a_non_form_operand_is_refused():
             cf.express(bad)
         with pytest.raises(TypeError):
             cf.dual_frame()[0].pair(bad)
+    # a frame field applies to an Expression alone
+    for bad in (3, None):
+        with pytest.raises(TypeError):
+            cf.dual_frame()[0](bad)
 
 
 def test_dual_frame_of_coordinate_differentials():
@@ -334,6 +338,9 @@ def test_a_one_component_field_adds_nothing(monkeypatch):
 def test_vector_field_rejects_a_coefficient_from_another_chart():
     with pytest.raises(ChartMismatch):
         VectorField(ode2_chart(), {"x": Expression.var(CH, "p")})
+    # nor does it apply to a scalar from another chart
+    with pytest.raises(ChartMismatch):
+        VectorField(ode2_chart(), {"x": 1})(Expression.var(CH, "p"))
 
 
 def test_a_form_refuses_bad_components_degrees_and_scalars():

@@ -490,7 +490,12 @@ def test_pullback_validates_inputs():
 def test_pullback_transports_the_invariants():
     # the invariants of a pullback are the target's composed with the
     # lifted map; sending a3 to -a3/eta_y fails 16 of these 24 pairs (all
-    # but PI and PII, where I3 = 0), and shifting C by one fails 12
+    # but PI and PII, where I3 = 0), and shifting C by one fails 12.  The
+    # flatness residuals are carried along phi = (x + C, eta, eta_x +
+    # p*eta_y): r2 = 2 I1 as it is, and r1 = f_ppp times eta_y^2, since f
+    # is fbar o phi / eta_y plus a quadratic in p.  Writing eta_y for
+    # eta_y^2 fails 8 of the 24 pairs, C + 1 for C 12, and r2 times
+    # eta_y all 24
     targets = [E(text) for text in (
         "6*y^2 + x", "2*y^3 + x*y + 1/3", "y^2 + p^3", "x*p^2 + y*p",
         "(y^2 + p)/(x + y)", "p^3/(y + 1) + x*y",
@@ -499,12 +504,19 @@ def test_pullback_transports_the_invariants():
         ("y^2 + x*y + 1", "7/3"), ("2*y + x^2", "-1"),
         ("2*y/(x + 1)", "1/2"), ("(x*y + 1)/(y + 2)", "3"),
     )]
+    x, p = E("x"), E("p")
     for fbar in targets:
         rep = run_equivalence_ode2(fbar)
+        r1, r2 = check_flat_ode2(fbar).residuals
         for eta, C in maps:
             f = pullback_ode2(eta, C, fbar)
             got = run_equivalence_ode2(f).invariants
             assert got == transported(rep, eta, C), (fbar, eta, C)
+            eta_y = eta.partial("y")
+            phi = {"x": x + C, "y": eta, "p": eta.partial("x") + p * eta_y}
+            assert check_flat_ode2(f).residuals == [
+                eta_y ** 2 * r1.subs_coords(phi), r2.subs_coords(phi),
+            ], (fbar, eta, C)
 
 
 def test_painleve_round_trip():

@@ -33,6 +33,8 @@ def test_basic_forms():
     assert E("-p^2/y") == -(p * p) / y
     assert E("1/2") == Expression.const(CH, Fraction(1, 2))
     assert E("  x +\ty ") == x + y
+    # whitespace is what str.isspace says: no-break and em spaces too
+    assert E("x\u00a0+\u2003y\n") == E("x + y")
     assert E("f_p") == Expression.var(CH, "f_p")
     assert E("x - (-y)") == x + y
     # unary minus binds the whole leading term, nowhere else
@@ -113,6 +115,13 @@ def test_parse_errors_carry_positions():
     assert exc.value.position == 1
     with pytest.raises(ParseError):
         E("1/0")
+    with pytest.raises(ParseError) as exc:
+        E("(x + y")
+    assert str(exc.value) == "expected ')' (at position 6)"
+    assert exc.value.position == 6
+    with pytest.raises(ParseError) as exc:
+        E("x \u00e9")
+    assert exc.value.position == 2
 
 
 def test_exponent_bound():
