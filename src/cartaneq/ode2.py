@@ -85,6 +85,23 @@ class EquivalenceReport:
     def involution(self):
         return cartan_characters(self.structure)
 
+    @cached_property
+    def syzygy_values(self):
+        """The value of each ``SYZYGY_PARAMS`` symbol, by its key.
+
+        I_m is the invariant; X_i(I_m) pairs the frame field X_i with the
+        one differential of I_m, so each partial of I_m is taken once per
+        report, however many relations ``realize_syzygy`` reads.
+        """
+        ach = syzygy_chart()
+        values = {}
+        for m, inv in zip((1, 2, 3), self.invariants):
+            values[ach.key_of(f"I{m}")] = inv
+            dinv = DifferentialForm(self.chart, 0, {(): inv}).d()
+            for i, X in enumerate(self.frame, 1):
+                values[ach.key_of(f"X{i}I{m}")] = X.pair(dinv)
+        return values
+
     def structure_lines(self, render, lhs="d(theta{})",
                         term="({})*theta{}^theta{}"):
         """The four structure equations, one line each.
@@ -272,15 +289,16 @@ def syzygies_ode2(f: Expression | None = None) -> SyzygyReport:
 
 
 def realize_syzygy(rel: Expression, rep: EquivalenceReport) -> Expression:
-    """Evaluate an abstract relation in coordinates for a given report."""
-    ach = rel.chart
-    values = {}
-    for m, inv in zip((1, 2, 3), rep.invariants):
-        values[ach.key_of(f"I{m}")] = inv
-        # one differential per invariant: each partial of it is taken once
-        dinv = DifferentialForm(rep.chart, 0, {(): inv}).d()
-        for i, X in enumerate(rep.frame, 1):
-            values[ach.key_of(f"X{i}I{m}")] = X.pair(dinv)
+    """Evaluate an abstract relation in coordinates for a given report.
+
+    ``rel`` passes ``require_chart`` on ``syzygy_chart()``: anything but
+    an Expression raises TypeError, and one on another chart
+    ChartMismatch.  The values come from ``rep.syzygy_values``.
+    """
+    require_chart(rel, syzygy_chart(), "a relation")
+    if not isinstance(rep, EquivalenceReport):
+        raise TypeError("rep must be an EquivalenceReport")
+    values = rep.syzygy_values
     if not rel.variables() <= values.keys():
         raise DomainError("relation mentions a coframe direction")
     return rel.map_vars(values, rep.chart)
@@ -337,44 +355,59 @@ def painleve_map(f: Expression):
     """Recover (eta, C) with x -> x + C, y -> eta mapping y''=f to Painleve I.
 
     Requires I2 = I3 = 0 (otherwise NotInClass); the candidate is then
-    eta = -I1/12 and C = -(1/24) I1^2 - (1/12) X3(X3(I1)) - x, and the
-    four closure residuals -12 X_i(C) must vanish (otherwise NotEquivalent
-    listing the failures; a flat equation fails the X3 relation with
-    residual 12); both refusals carry their residuals as Expressions.  It
-    reads the concrete report: the invariants and the four frame fields,
-    12 of the 24 components of the symbolic report.
+    eta = -I1/12 and C = -(1/24) I1^2 - (1/12) X3(X3(I1)) - x, and C must
+    be a constant (otherwise NotEquivalent listing the nonzero closure
+    residuals -12 X_i(C); a flat equation fails the X3 relation with
+    residual 12); both refusals carry their residuals as Expressions.
+
+    In the class f = a p^2 + b p + c, and I3 = 0 says b_y = 2 a_x, which
+    cancels the p and p^2 terms of I1: I1 = (4ac - b^2 - 4c_y + 2b_x)/4.
+    On functions free of p and a3, X3 is the total derivative, so
+    X3(X3(I1)) = I1_xx + 2p I1_xy + p^2 I1_yy + f I1_y, each partial read
+    off one ``Partials`` table of I1.  The frame is a basis, so the four
+    X_i(C) vanish exactly when C is a constant; only a refusal maps the
+    frame, to name the failing relations.
     """
     rep = run_equivalence_ode2(f)
-    ch = rep.chart
     I1, I2, I3 = rep.invariants
     if not I2.is_zero:
         raise NotInClass("I2", I2)
     if not I3.is_zero:
         raise NotInClass("I3", I3)
 
-    X3 = rep.frame[2]
-    c24 = Expression.const(ch, Fraction(-1, 24))
+    ch = ode2_chart()
+    I1 = I1.project(ch)
+    t = Partials(I1, {0: "x", 1: "y"})
+    base = t.base
+    X, Y = (0,), (1,)
+    p = Polynomial.var(ch.key_of("p"))
+    x = Polynomial.var(ch.key_of("x")), 1, base.zeros
+    p1, p2 = (p, 1, base.zeros), (p * p, 1, base.zeros)
+    # -I1^2 - 2 I1_xx - 4p I1_xy - 2p^2 I1_yy - 24x, over 24
+    head = base.sum([
+        (-1, base.product(t.raw(()), t.raw(()))),
+        (-2, t.raw(X + X)),
+        (-4, base.product(p1, t.raw(X + Y))),
+        (-2, base.product(p2, t.raw(Y + Y))),
+        (-24, x),
+    ], 24)
     c12 = Expression.const(ch, Fraction(-1, 12))
-    x = Expression.var(ch, "x")
-    eta = c12 * I1
-    C = c24 * I1 * I1 + c12 * X3(X3(I1)) - x
-
-    # one differential of C, so that each partial of it is taken once
-    dC = DifferentialForm(ch, 0, {(): C}).d()
-    failures = {}
-    for name, X in zip(("X1", "X2", "X3", "X4"), rep.frame):
-        res = Expression.const(ch, -12) * X.pair(dC)
-        if not res.is_zero:
-            failures[name] = res
-    if failures:
+    C = base.reduce(*head) + c12 * _on_chart(f, ch) * t[Y]
+    if not C.is_const:
+        # one differential of C, so that each partial of it is taken once
+        C = C.rebase(rep.chart)
+        dC = DifferentialForm(rep.chart, 0, {(): C}).d()
+        m12 = Expression.const(rep.chart, -12)
+        failures = {}
+        for name, Xi in zip(("X1", "X2", "X3", "X4"), rep.frame):
+            res = m12 * Xi.pair(dC)
+            if not res.is_zero:
+                failures[name] = res
         raise NotEquivalent(failures)
 
-    base = ode2_chart()
-    eta = eta.project(base)
-    C = C.project(base)
-    if eta.partial("y").is_zero:
+    if t[Y].is_zero:
         raise VanishingJacobian("the recovered eta does not depend on y")
-    return eta, C
+    return c12 * I1, C
 
 
 def pullback_ode2(eta: Expression, C: Expression,

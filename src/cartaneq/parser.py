@@ -260,8 +260,15 @@ def _is_simple_factor(p) -> bool:
     return coeff == 1 and len(mono) == 1
 
 
+def _rendered(e) -> Expression:
+    """``e`` itself, once checked to be an Expression."""
+    if not isinstance(e, Expression):
+        raise TypeError("only an Expression can be rendered")
+    return e
+
+
 def render_text(e: Expression) -> str:
-    chart = e.chart
+    chart = _rendered(e).chart
     num, den = e.num, e.den
     num_s = _poly_str(chart, num, _TEXT)
     if den.is_const and den.const_value() == 1:
@@ -275,6 +282,7 @@ def render_text(e: Expression) -> str:
 
 
 def render_latex(e: Expression) -> str:
+    _rendered(e)
     num_s = _poly_str(e.chart, e.num, _LATEX)
     if e.den.is_const and e.den.const_value() == 1:
         return num_s

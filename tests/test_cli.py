@@ -5,11 +5,13 @@ shell user would, including exit codes.
 """
 
 import argparse
+import importlib
 import json
 import os
 import re
 import shlex
 import subprocess
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -396,6 +398,32 @@ def test_every_command_declares_its_inputs(capsys, monkeypatch):
             continue
         flags = {"--" + flag for flag in inputs} | {"--format"}
         assert set(re.findall(r"--[\w-]+", usage)) == flags, words
+
+
+def test_readme_names_resolve():
+    # every backticked dotted name whose head is cartaneq, one of its
+    # modules or one of its exports must name something that exists, so
+    # a rename cannot leave README stale; a call's arguments are ignored
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {m.name for m in pkgutil.iter_modules(cartaneq.__path__)}
+    resolved = set()
+    for ref in re.findall(r"`((?:[A-Za-z_]\w*\.)+[A-Za-z_]\w*)(?:\([^`]*\))?`",
+                          readme):
+        head, *rest = ref.split(".")
+        if head == "cartaneq":
+            head, *rest = rest
+        if head in modules:
+            obj = importlib.import_module(f"cartaneq.{head}")
+        elif head in cartaneq.__all__:
+            obj = getattr(cartaneq, head)
+        else:
+            continue
+        for name in rest:
+            assert hasattr(obj, name), ref
+            obj = getattr(obj, name)
+        resolved.add(ref)
+    assert len(resolved) >= 20
+    assert {"cartaneq.poly.prs_fallbacks", "expr.Partials"} <= resolved
 
 
 def readme_library_blocks():

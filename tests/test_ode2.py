@@ -217,6 +217,36 @@ def test_realize_syzygy_rejects_coframe_directions():
         realize_syzygy(rel + q1, rep)
 
 
+def test_realize_syzygy_refuses_other_operands():
+    rel = syzygies_ode2().relations[0]
+    rep = run_equivalence_ode2(E("6*y^2 + x"))
+    for bad in (3, None):
+        with pytest.raises(TypeError):
+            realize_syzygy(bad, rep)
+        with pytest.raises(TypeError):
+            realize_syzygy(rel, bad)
+    # the same names on a chart that is not the syzygy chart
+    other = Chart(coords=("q1", "q2"), params=("I1", "I3", "X1I1"))
+    with pytest.raises(ChartMismatch):
+        realize_syzygy(parse_expression("I3 + X1I1", other), rep)
+    with pytest.raises(ChartMismatch):
+        realize_syzygy(E("x"), rep)
+
+
+def test_realize_syzygy_takes_each_frame_derivative_once_per_report(
+        monkeypatch):
+    relations = syzygies_ode2().relations
+    f = pullback_ode2(E("2*y + x^2"), E("0"), E("6*y^2 + x"))
+    rep = run_equivalence_ode2(f)
+    rep.frame
+    calls = _recorded_partials(monkeypatch)
+    got = [realize_syzygy(rel, rep) for rel in relations]
+    # I2 = I3 = 0 and I1 depends on x and y alone: two partials for the
+    # five relations, not two for each
+    assert len(relations) == 5 and all(r.is_zero for r in got)
+    assert len(calls) == 2
+
+
 def test_syzygies_of_the_flat_equation_are_trivial():
     assert syzygies_ode2(E("0")).relations == []
 
@@ -310,8 +340,10 @@ def test_each_partial_of_a_computed_value_is_taken_once(monkeypatch):
     pullback_ode2(eta, C, target)
     assert len(calls) == 5 and len(set(calls)) == len(calls)
     assert all(isinstance(t, int) for t, _ in calls)
-    # painleve_map and realize_syzygy pair each frame field with one
-    # differential of each value, so no (value, direction) pair repeats
+    # painleve_map reads I1's partials off one table, and a refusal pairs
+    # each frame field with one differential of C; realize_syzygy pairs
+    # them with one differential of each invariant, once per report; so
+    # no (value, direction) pair repeats
     fs = [pullback_ode2(E("2*y + x^2"), E("0"), target),
           pullback_ode2(eta, C, target), E("x*y"), E("p^3/(y + 1) + x*y")]
     for f in fs:
@@ -372,7 +404,12 @@ def test_a_concrete_report_maps_each_component_when_first_read(monkeypatch):
     assert len(mapped) == 21
     mapped.clear()
     painleve_map(f)
-    # the three invariants and the four frame fields
+    # the three invariants alone: success never reads the frame
+    assert len(mapped) == 3
+    mapped.clear()
+    with pytest.raises(NotEquivalent):
+        painleve_map(E("y^2"))
+    # a refusal maps the four frame fields to name its failures
     assert len(mapped) == 12
     monkeypatch.undo()
     for i, X in enumerate(rep.frame):
@@ -431,17 +468,16 @@ def _painleve_outcome(route, f):
                 getattr(exc, "value", None), getattr(exc, "failures", None))
 
 
-def test_painleve_map_matches_the_report_route():
+def _painleve_corpus():
+    """The golden corpus's Painleve inputs, inputs in the class that fail
+    the closure or leave the class, then Painleve I pulled back along
+    eight seeded rational maps."""
     rng = seeded(703)
-    target = E("6*y^2 + x")
-    # the golden corpus's Painleve inputs, then inputs in the class that
-    # fail the closure or leave the class
     fs = [E(text) for text in (
         "6*y^2 + x", "6*y^2 + x + 5", "p^3",
         "(6*y^4 + 12*y^2 - 2*p^2 + x + 8)/(2*y)",
         "0", "y^2", "x*y", "6*y^2 + 2*x", "2*y^3 + x*y",
     )]
-    # Painleve I pulled back along eight seeded rational maps
     x, y = E("x"), E("y")
     q = lambda: rng.choice((-3, -2, -1, 1, 2, 3))
     while len(fs) < 17:
@@ -452,7 +488,57 @@ def test_painleve_map_matches_the_report_route():
         if eta.partial("y").is_zero:
             continue
         C = Expression.const(BASE, Fraction(q(), rng.randint(1, 3)))
-        fs.append(pullback_ode2(eta, C, target))
+        fs.append(pullback_ode2(eta, C, E("6*y^2 + x")))
+    return fs
+
+
+def _rational_rhs_etas(rng, count):
+    """``count`` maps taking turns over the rational-rhs benchmark's three
+    families: (a y + b x + c)/(d y + e x + g), then (a y + b x^2 + c x)
+    over d y + e, then over d x + e."""
+    x, y = E("x"), E("y")
+    q = lambda: Expression.const(BASE, rng.randint(-5, 5))
+    out = []
+    while len(out) < count:
+        kind = len(out) % 3
+        if kind == 0:
+            eta = (q() * y + q() * x + q()) / (q() * y + q() * x + q())
+        else:
+            v = y if kind == 1 else x
+            eta = (q() * y + q() * x * x + q() * x) / (q() * v + q())
+        if not eta.partial("y").is_zero:
+            out.append(eta)
+    return out
+
+
+def test_I1_is_free_of_p_in_the_class():
+    # f = a p^2 + b p + c when I2 = 0, and I3 = 0 says b_y = 2 a_x, which
+    # cancels the p and p^2 terms of I1; painleve_map reads its X3(X3(I1))
+    # as a total derivative on that fact
+    rng = seeded(704)
+    target = E("6*y^2 + x")
+    fs = _painleve_corpus() + [
+        pullback_ode2(eta, Expression.const(BASE, Fraction(
+            rng.randint(-4, 4), rng.randint(1, 3))), target)
+        for eta in _rational_rhs_etas(rng, 9)
+    ]
+    bundle = run_equivalence_ode2().chart
+    p, a3 = bundle.key_of("p"), bundle.key_of("a3")
+    in_class = 0
+    for f in fs:
+        I1, I2, I3 = run_equivalence_ode2(f).invariants
+        if I2.is_zero and I3.is_zero:
+            in_class += 1
+            assert not {p, a3} & I1.variables(), f
+    assert in_class == len(fs) - 1  # all but p^3
+    # with I2 = 0 but b_y != 2 a_x, I1 keeps its p term
+    I1, I2, I3 = run_equivalence_ode2(E("y*p")).invariants
+    assert I2.is_zero and not I3.is_zero and p in I1.variables()
+
+
+def test_painleve_map_matches_the_report_route():
+    target = E("6*y^2 + x")
+    fs = _painleve_corpus()
     kinds = set()
     for f in fs:
         got = _painleve_outcome(painleve_map, f)

@@ -154,6 +154,13 @@ def test_latex_rendering():
     assert render_latex(parse_expression("x^2", big)) == "x^{2}"
 
 
+def test_render_refuses_what_is_not_an_expression():
+    for render in (render_text, render_latex):
+        for bad in (3, "x", None):
+            with pytest.raises(TypeError):
+                render(bad)
+
+
 # ----------------------------------------------------------------------
 # differential test: every text of the grammar against sympy.cancel
 
